@@ -59,47 +59,6 @@ def main() -> int:
                     base_wide * (1.0 - tolerance),
                 )
             )
-        # Incremental-solve ratios (warm vs cold re-solve): present since
-        # the cross-pass state cache landed; older baselines without the
-        # section skip the floor rather than fail.
-        probe_incr = probe.get("incremental", {})
-        base_incr = baseline.get("incremental", {})
-        if "pass_resolve_speedup" in probe_incr and "pass_resolve_speedup" in base_incr:
-            base_resolve = base_incr["pass_resolve_speedup"]
-            checks.append(
-                (
-                    "incremental pass_resolve_speedup (warm vs cold A3+B1+B2)",
-                    probe_incr["pass_resolve_speedup"],
-                    base_resolve,
-                    base_resolve * (1.0 - tolerance),
-                )
-            )
-        probe_sweep = probe_incr.get("sweep", {})
-        base_sweep = base_incr.get("sweep", {})
-        if "speedup" in probe_sweep and "speedup" in base_sweep:
-            base_sw = base_sweep["speedup"]
-            checks.append(
-                (
-                    "incremental sweep speedup (adjacent-target fleet)",
-                    probe_sweep["speedup"],
-                    base_sw,
-                    base_sw * (1.0 - tolerance),
-                )
-            )
-        # Cross-chip memoisation floor: the adjacent-target warm flow
-        # (arenas + region memo) versus a fully cold flow, step1+step2.
-        probe_cc = probe.get("cross_chip", {})
-        base_cc = baseline.get("cross_chip", {})
-        if "warm_step_speedup" in probe_cc and "warm_step_speedup" in base_cc:
-            base_step = base_cc["warm_step_speedup"]
-            checks.append(
-                (
-                    "cross_chip warm_step_speedup (warm vs cold step1+step2)",
-                    probe_cc["warm_step_speedup"],
-                    base_step,
-                    base_step * (1.0 - tolerance),
-                )
-            )
         # Region-parallel search floor: fan-out on vs off at the same
         # thread count.  The ratio tracks host core count more than the
         # kernel backend (a single-core host's honest ratio is ~1.0), so
@@ -180,11 +139,7 @@ def main() -> int:
             f"(probe node_reduction: {probe_sp.get('node_reduction', 0):.3f}x)"
         )
     if base_sp:
-        pruned_total = (
-            base_sp.get("pruned_bound", 0)
-            + base_sp.get("pruned_dominance", 0)
-            + base_sp.get("pruned_symmetry", 0)
-        )
+        pruned_total = base_sp.get("pruned_bound", 0) + base_sp.get("pruned_symmetry", 0)
         if pruned_total <= 0:
             notes.append(
                 "baseline search_pruning pruned counters are all 0 — the "
@@ -196,27 +151,6 @@ def main() -> int:
                 f"baseline search_pruning.node_reduction is "
                 f"{base_sp.get('node_reduction')} — the committed BENCH must "
                 "show the pruned search visiting fewer nodes (> 1.0)"
-            )
-            failed_baseline = True
-
-    # The committed baseline must keep recording live cross-chip memo
-    # activity: a regenerated BENCH_sampling.json with a dead memo (zero
-    # hits / zero keys) means the dedup path stopped firing and must not
-    # land silently.  Hardware-independent, so checked regardless of the
-    # probe's backend.
-    base_cc = baseline.get("cross_chip")
-    if base_cc is not None:
-        for field in ("cross_chip_hits", "distinct_keys"):
-            if base_cc.get(field, 0) <= 0:
-                notes.append(
-                    f"baseline cross_chip.{field} is {base_cc.get(field)} — "
-                    "the committed BENCH must show a live memo (> 0)"
-                )
-                failed_baseline = True
-        if base_cc.get("hit_rate", 0.0) <= 0.0:
-            notes.append(
-                "baseline cross_chip.hit_rate is 0 — the committed BENCH "
-                "must show a nonzero cross-chip hit rate"
             )
             failed_baseline = True
 

@@ -13,11 +13,10 @@
 //! carries a `simd` section — the chunked fill + extraction loop pinned
 //! to the fused scalar backend versus the active wide backend
 //! (AVX2/NEON/portable), which the `perf-gate` CI job tracks — a
-//! `cross_chip` section (adjacent-target warm flow with every solver
-//! cache tier on versus a fully cold flow, with the region-memo hit
-//! rate and distinct-key count), a `solver_stages` breakdown inside the
-//! `flow` section (discovery / saturation-screen / search / MILP
-//! seconds), and a `campaign` section: a small 2-circuit × 2-target
+//! `solver_stages` breakdown inside the `flow` section (discovery /
+//! saturation-screen / search / MILP seconds), the region fan-out and
+//! search-pruning on/off ratios, and a `campaign` section: a small
+//! 2-circuit × 2-target
 //! fleet campaign timed against the same jobs as back-to-back
 //! `BufferInsertionFlow::run()` calls, plus the pure journal-replay
 //! (resume no-op) time — the fleet subsystem's overhead trajectory.
@@ -191,86 +190,15 @@ fn main() {
             .unwrap_or(0.0)
     };
 
-    // Incremental re-solve trajectory: the same flow warm (cross-pass
-    // state carried) versus cold (the `PSBI_NO_INCREMENTAL` semantics),
-    // isolating the A3+B1+B2 re-solve cost the cache targets.  Results
-    // are bit-identical — only the pass times differ.  The refit pass is
-    // forced on (`skip_refit_threshold: 0`, the paper's full step 2, as
-    // at tight targets): that is the regime where B2 replays B1's search
-    // outcomes wholesale instead of only its decompositions.
-    let incr_cfg = FlowConfig {
-        skip_refit_threshold: 0.0,
-        ..cfg
-    };
-    let resolve_sum = |r: &psbi_core::flow::InsertionResult| {
-        r.runtime.pass_a3_s + r.runtime.pass_b1_s + r.runtime.pass_b2_s
-    };
-    let (warm_resolve_s, warm_result) = best_of(|| {
-        let r = BufferInsertionFlow::builder(&circuit, incr_cfg.clone())
-            .build()
-            .expect("valid circuit")
-            .run();
-        (resolve_sum(&r), r)
-    });
-    let cold_flow_cfg = FlowConfig {
-        incremental: false,
-        cross_chip: false,
-        ..incr_cfg.clone()
-    };
-    let (cold_resolve_s, _) = best_of(|| {
-        let r = BufferInsertionFlow::builder(&circuit, cold_flow_cfg.clone())
-            .build()
-            .expect("valid circuit")
-            .run();
-        (resolve_sum(&r), r)
-    });
-    let warm_totals = warm_result.diagnostics.total();
-
-    // Cross-chip trajectory: a warm flow in the adjacent-target regime —
-    // one flow swept to the next sweep point, all cache tiers on (parked
-    // arenas, cross-chip memo) — against a fully cold flow at the same
-    // target.  Single-threaded so the memo hit counters are
-    // deterministic (racing workers make them vary, results never);
-    // each warm repeat builds a fresh flow so the measured target is
-    // warmed by exactly one adjacent target, never by itself.
-    let step_sum = |r: &psbi_core::flow::InsertionResult| r.runtime.step1_s + r.runtime.step2_s;
-    let cc_warm_cfg = FlowConfig {
-        threads: 1,
-        ..incr_cfg.clone()
-    };
-    let (cc_warm_step_s, cc_warm) = best_of(|| {
-        let flow = BufferInsertionFlow::builder(&circuit, cc_warm_cfg.clone())
-            .build()
-            .expect("valid circuit");
-        let _ = flow.run_target(TargetPeriod::SigmaFactor(0.0));
-        let r = flow.run_target(TargetPeriod::SigmaFactor(0.02));
-        (step_sum(&r), r)
-    });
-    let cc_cold_cfg = FlowConfig {
-        threads: 1,
-        ..cold_flow_cfg.clone()
-    };
-    // A fresh flow per repeat: reusing one flow would let its pooled
-    // workspaces carry warm saturation-screen witnesses into the later
-    // repeats, and best-of would keep a not-actually-cold time.
-    let (cc_cold_step_s, _) = best_of(|| {
-        let flow = BufferInsertionFlow::builder(&circuit, cc_cold_cfg.clone())
-            .build()
-            .expect("valid circuit");
-        let r = flow.run_target(TargetPeriod::SigmaFactor(0.02));
-        (step_sum(&r), r)
-    });
-    let cc_totals = cc_warm.diagnostics.total();
-    let cc_hit_rate = cc_totals.cross_chip_hits as f64 / cc_totals.regions_total.max(1) as f64;
-
     // Region-parallel search trajectory: the same flow at the same
     // thread count with the per-chip region fan-out on versus off,
     // isolating what the region pool buys the search stage.  A fresh
-    // flow per repeat, like the cross-chip legs, so pooled warm state
-    // cannot leak between sides.  On a single-core host the pool
-    // degrades to scoped threads sharing one core, so the honest ratio
-    // there is ~1.0 — the perf gate floors the *committed* ratio with a
-    // noise tolerance instead of demanding a fixed multiplier.
+    // flow per repeat, so pooled warm state cannot leak between sides.
+    // On a single-core host the pool degrades to scoped threads sharing
+    // one core, so the honest ratio there is ~1.0 — the perf gate floors
+    // the *committed* ratio with a noise tolerance instead of demanding
+    // a fixed multiplier.
+    let step_sum = |r: &psbi_core::flow::InsertionResult| r.runtime.step1_s + r.runtime.step2_s;
     let rp_threads = 2usize;
     let rp_on_cfg = FlowConfig {
         threads: rp_threads,
@@ -311,7 +239,7 @@ fn main() {
     );
 
     // Search-pruning trajectory: the same single-threaded flow with the
-    // B&B pruning rules (dominance, symmetry, bitset covering bounds)
+    // B&B pruning rules (symmetry, bitset covering and cascade bounds)
     // on versus off (the `PSBI_NO_SEARCH_PRUNE` semantics).  Node
     // counts come from the flow's own diagnostics at 1 worker, so they
     // are deterministic and host-independent — the perf gate pins them
@@ -419,63 +347,6 @@ fn main() {
     let _ = std::fs::remove_file(&journal);
     std::hint::black_box(back_to_back_buffers);
 
-    // Cross-target incremental reuse: one circuit swept over adjacent
-    // sigma factors (1 worker, so every target revisits the same flow's
-    // state arena), cold vs warm.  The spacing is fine (0.02 σ — a speed
-    // binning / yield-curve workload) so many chips keep their violated
-    // fingerprint between targets and cross-target replay actually fires.
-    let sweep_spec = CampaignSpec {
-        name: "perf-sweep".into(),
-        circuits: vec![CircuitRef::parse("small_demo:1").expect("valid")],
-        sigma_factors: vec![0.0, 0.02, 0.04],
-        samples: campaign_samples,
-        yield_samples: campaign_samples,
-        calibration_samples: campaign_samples,
-        seed,
-        threads_per_job: 1,
-        ..CampaignSpec::default()
-    };
-    let sweep_journal =
-        std::env::temp_dir().join(format!("psbi_perf_sweep_{}.journal", std::process::id()));
-    let time_sweep = |incremental: bool| {
-        let _ = std::fs::remove_file(&sweep_journal);
-        let opts = FleetOptions {
-            workers: 1,
-            incremental,
-            ..FleetOptions::default()
-        };
-        let t = Instant::now();
-        let outcome = run_campaign(&sweep_spec, &sweep_journal, &opts).expect("sweep runs");
-        let s = t.elapsed().as_secs_f64();
-        assert!(outcome.complete());
-        let mut totals = psbi_core::solve::PassDiagnostics::default();
-        let mut cross_target = psbi_core::solve::PassDiagnostics::default();
-        for diag in outcome.job_diagnostics.iter().flatten() {
-            totals.merge(&diag.total());
-            // A1 is the first pass of every target, so any reuse it sees
-            // can only have come from a *previous target's* parked state.
-            cross_target.merge(&diag.a1);
-        }
-        (s, totals, cross_target)
-    };
-    // Best-of-3 like the flow ratios: the sweep is sub-second at bench
-    // sizes and the counters are deterministic at 1 worker.
-    let mut sweep_cold_s = f64::INFINITY;
-    let mut sweep_warm_s = f64::INFINITY;
-    let mut sweep_totals = psbi_core::solve::PassDiagnostics::default();
-    let mut sweep_cross = psbi_core::solve::PassDiagnostics::default();
-    for _ in 0..3 {
-        let (cold_s, _, _) = time_sweep(false);
-        sweep_cold_s = sweep_cold_s.min(cold_s);
-        let (warm_s, totals, cross) = time_sweep(true);
-        if warm_s < sweep_warm_s {
-            sweep_warm_s = warm_s;
-            sweep_totals = totals;
-            sweep_cross = cross;
-        }
-    }
-    let _ = std::fs::remove_file(&sweep_journal);
-
     let scalar_rate = samples as f64 / scalar_s;
     let batched_rate = samples as f64 / batched_s;
     let mut json = String::new();
@@ -542,10 +413,8 @@ fn main() {
         "      \"search_s\": {:.6},",
         stage_s("solve.stage.search")
     );
-    // Armed-only obs counters for this (multi-threaded) flow run.
-    // Informational: racy cross-chip memo hits skip whole searches, so
-    // these sums are only pinned exactly in the single-threaded
-    // `search_pruning` section below.
+    // Armed-only obs counters for this flow run; the single-threaded
+    // `search_pruning` section below carries the pinned node counts.
     let counter = |name: &str| obs_flow.counter(name).unwrap_or(0);
     let _ = writeln!(
         json,
@@ -555,34 +424,10 @@ fn main() {
     let _ = writeln!(
         json,
         "      \"search_pruned\": {},",
-        counter("solve.search.pruned.bound")
-            + counter("solve.search.pruned.dominance")
-            + counter("solve.search.pruned.symmetry")
+        counter("solve.search.pruned.bound") + counter("solve.search.pruned.symmetry")
     );
     let _ = writeln!(json, "      \"milp_s\": {:.6}", stage_s("solve.stage.milp"));
     let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"cross_chip\": {{");
-    let _ = writeln!(json, "    \"flow_samples\": {flow_samples},");
-    let _ = writeln!(json, "    \"warm_step_solve_s\": {cc_warm_step_s:.6},");
-    let _ = writeln!(json, "    \"cold_step_solve_s\": {cc_cold_step_s:.6},");
-    let _ = writeln!(
-        json,
-        "    \"warm_step_speedup\": {:.3},",
-        cc_cold_step_s / cc_warm_step_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"cross_chip_hits\": {},",
-        cc_totals.cross_chip_hits
-    );
-    let _ = writeln!(json, "    \"hit_rate\": {cc_hit_rate:.6},");
-    let _ = writeln!(
-        json,
-        "    \"distinct_keys\": {},",
-        cc_warm.diagnostics.memo_entries
-    );
-    let _ = writeln!(json, "    \"regions_total\": {}", cc_totals.regions_total);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"search_parallel\": {{");
     let _ = writeln!(json, "    \"threads\": {rp_threads},");
@@ -625,75 +470,9 @@ fn main() {
     let _ = writeln!(json, "    \"pruned_bound\": {},", sp_on.search_pruned_bound);
     let _ = writeln!(
         json,
-        "    \"pruned_dominance\": {},",
-        sp_on.search_pruned_dominance
-    );
-    let _ = writeln!(
-        json,
         "    \"pruned_symmetry\": {}",
         sp_on.search_pruned_symmetry
     );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"incremental\": {{");
-    let _ = writeln!(json, "    \"flow_samples\": {flow_samples},");
-    let _ = writeln!(json, "    \"refit_forced\": true,");
-    let _ = writeln!(json, "    \"cold_a3b1b2_s\": {cold_resolve_s:.6},");
-    let _ = writeln!(json, "    \"warm_a3b1b2_s\": {warm_resolve_s:.6},");
-    let _ = writeln!(
-        json,
-        "    \"pass_resolve_speedup\": {:.3},",
-        cold_resolve_s / warm_resolve_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"flow_regions_reused\": {},",
-        warm_totals.regions_reused
-    );
-    let _ = writeln!(
-        json,
-        "    \"flow_supports_rehit\": {},",
-        warm_totals.supports_rehit
-    );
-    let _ = writeln!(json, "    \"sweep\": {{");
-    let _ = writeln!(
-        json,
-        "      \"targets\": {},",
-        sweep_spec.sigma_factors.len()
-    );
-    let _ = writeln!(json, "      \"samples\": {campaign_samples},");
-    let _ = writeln!(json, "      \"cold_s\": {sweep_cold_s:.6},");
-    let _ = writeln!(json, "      \"warm_s\": {sweep_warm_s:.6},");
-    let _ = writeln!(
-        json,
-        "      \"speedup\": {:.3},",
-        sweep_cold_s / sweep_warm_s
-    );
-    let _ = writeln!(
-        json,
-        "      \"regions_reused\": {},",
-        sweep_totals.regions_reused
-    );
-    let _ = writeln!(
-        json,
-        "      \"supports_rehit\": {},",
-        sweep_totals.supports_rehit
-    );
-    let _ = writeln!(
-        json,
-        "      \"cross_target_regions_reused\": {},",
-        sweep_cross.regions_reused
-    );
-    let _ = writeln!(
-        json,
-        "      \"cross_target_supports_rehit\": {},",
-        sweep_cross.supports_rehit
-    );
-    let _ = writeln!(
-        json,
-        "      \"cross_chip_hits\": {}",
-        sweep_totals.cross_chip_hits
-    );
-    let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
     let _ = writeln!(json, "    \"jobs\": {},", outcome.total_jobs);
@@ -725,16 +504,12 @@ fn main() {
     eprintln!(
         "perf_json: scalar {scalar_rate:.0}/s, batched {batched_rate:.0}/s \
          ({:.2}x), backend {} ({:.2}x vs scalar kernels), flow {flow_s:.2}s, \
-         incremental A3+B1+B2 {:.2}x / sweep {:.2}x, cross-chip warm \
-         step1+step2 {:.2}x ({} hits, {} keys) -> {out_path}",
+         region fan-out {:.2}x, search pruning {:.2}x -> {out_path}",
         scalar_s / batched_s,
         backend.name(),
         simd_scalar_s / simd_wide_s,
-        cold_resolve_s / warm_resolve_s,
-        sweep_cold_s / sweep_warm_s,
-        cc_cold_step_s / cc_warm_step_s,
-        cc_totals.cross_chip_hits,
-        cc_warm.diagnostics.memo_entries
+        rp_off_s / rp_on_s,
+        sp_off_s / sp_on_s
     );
     eprintln!("perf_json: disarmed obs site costs {disarmed_span_ns:.1} ns");
     print!("{json}");

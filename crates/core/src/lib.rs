@@ -54,9 +54,9 @@
 //! (`BufferInsertionFlow::builder(..).library(..).pool(..).build()`), and
 //! the per-sample solver is driven through a single request-shaped entry
 //! point ([`solve::SolveRequest`] → [`solve::SampleSolver::solve`]) whose
-//! optional cache tiers and region-parallel execution are fields of the
-//! request rather than separate entry points — see [`solve`] for the
-//! plan/execute session underneath.
+//! optional region-parallel execution is a field of the request rather
+//! than a separate entry point — see [`solve`] for the plan/execute
+//! session underneath.
 //!
 //! # Example
 //!
@@ -89,8 +89,7 @@ pub use flow::{
     InsertionResult, SampleRequest, TargetPeriod, WorkspacePool,
 };
 pub use solve::{
-    BufferSpace, ChipSolveState, PassDiagnostics, PushObjective, RegionMemo, RegionOutcome,
-    RegionTask, SampleResult, SampleSolver, SolveOutcome, SolveRequest, SolveSession,
-    SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, RegionOutcome, RegionTask, SampleResult,
+    SampleSolver, SolveOutcome, SolveRequest, SolveSession, SolverOptions,
 };
 pub use verify::VerifyReport;

@@ -15,58 +15,40 @@
 //!   soon as the optimum count is `≤ R`; the region is grown until that
 //!   holds (or it saturates its connected component, proving
 //!   infeasibility).
-//! * **Support-set branch and bound.** Inside a region the search branches
+//! * **Support-set branch and bound.**  Inside a region the search branches
 //!   on "buffer is adjusted / not adjusted" ([`search`] module).
 //!   Feasibility of a candidate support is a bounded difference-constraint
 //!   system — [`psbi_timing::DiffSolver`] decides it in near-linear time —
 //!   and a matching over still-uncovered violated constraints gives a
 //!   vertex-cover lower bound.  Tie-breaking in the search is pinned (see
 //!   `search`), so the returned support is a pure function of the region
-//!   system — the property incremental replay relies on.
+//!   system.
 //! * **Value concentration.** With the budget fixed, `min Σ|x_i − a_i|` is
 //!   solved as a MILP ([`psbi_milp`]) with indicator constraints — the
 //!   exact formulation of the paper's eqs. (14)–(21) — on the small region,
-//!   warm-started with the search's known-feasible witness (identically in
-//!   cold and incremental runs, so the warm start is result-neutral
-//!   between the two modes).
+//!   warm-started with the search's known-feasible witness.
 //!
-//! # Incremental cross-pass state
-//!
-//! Region *discovery* (violation collection, BFS region growth, constraint
-//! attachment) is split from region *solving* so a [`ChipSolveState`] can
-//! carry decompositions, optimal support sets and warm witnesses from one
-//! pass to the next — and, through the flow's state arena, across adjacent
-//! targets of a fleet sweep.  Every reuse is guarded by an exact value
-//! comparison of the inputs the cached artefact was derived from (the
-//! invalidation keys are tabulated in [`state`]'s docs); a mismatch falls
-//! back to the cold path, so results are bit-identical with the cache on,
-//! off (`PSBI_NO_INCREMENTAL=1`), or partially hitting.
+//! Every chip is solved on its own, from its own constraint system: no
+//! region decomposition, support set or witness is carried from one chip,
+//! pass or target to another.
 //!
 //! # Entry surface: request in, plan/execute underneath
 //!
 //! Everything above is driven through **one** entry point:
 //! [`SampleSolver::solve`] takes a [`SolveRequest`] carrying the
 //! constraint view, the buffer space, the push objective, the limits and
-//! the optional cache tiers (per-chip [`ChipSolveState`], cross-chip
-//! [`RegionMemo`]) as fields — replacing the former
-//! `solve_view` / `solve_view_with_diag` / `solve_view_cached` /
-//! `solve_view_memo` ladder, which survives only as deprecated wrappers.
+//! the optional thread pool as fields.
 //!
 //! Underneath, a solve is an explicit plan/execute loop:
 //! [`SampleSolver::begin`] returns a [`SolveSession`];
-//! [`SolveSession::plan`] resolves the round's regions against the cache
-//! tiers and yields the ones that still need searching as self-contained
-//! [`RegionTask`]s; [`SampleSolver::execute`] searches a batch of tasks —
-//! inline, or fanned out across a rayon pool when one is supplied — and
-//! [`SolveSession::commit`] applies the outcomes **in pinned region
-//! order**, never completion order.  Region searching is a pure function
-//! of each task (warm-state independent, pinned tie-breaking — the same
-//! properties the memo tier relies on), so fan-out changes only the wall
-//! clock, never a byte of any result.  Callers that also hold a
-//! cross-chip [`RegionMemo`] (the flow's sample chunks) drive one session
-//! per chip to completion in chip order — so each chip's memo publishes
-//! land before the next chip plans — and fan out only within a round's
-//! independent tasks.
+//! [`SolveSession::plan`] builds the round's regions and yields them as
+//! self-contained [`RegionTask`]s; [`SampleSolver::execute`] searches a
+//! batch of tasks — inline, or fanned out across a rayon pool when one is
+//! supplied — and [`SolveSession::commit`] applies the outcomes **in
+//! pinned region order**, never completion order.  Region searching is a
+//! pure function of each task (warm-state independent, pinned
+//! tie-breaking), so fan-out changes only the wall clock, never a byte of
+//! any result.
 //!
 //! The generic big-M MILP formulation of the whole problem is also
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
@@ -78,19 +60,14 @@ use psbi_timing::{
     ConstraintKind, ConstraintsView, IntegerConstraints, SequentialGraph, Violation,
 };
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-mod memo;
 mod search;
-mod state;
 #[cfg(test)]
 mod tests;
 
-use memo::MemoKey;
-pub use memo::RegionMemo;
-use search::{run_support_search, PruneScratch, SearchPhase, SearchStats, SupportSearch};
-use state::{CachedOutcome, CachedRegion};
-pub use state::{ChipSolveState, PassDiagnostics};
+use search::{run_support_search, PruneScratch, SearchOutcome, SearchStats, SupportSearch};
+use serde::{Deserialize, Serialize};
 
 /// One solver stage's observability guards: a trace span plus a
 /// wall-clock histogram timer under the same `solve.stage.*` name.  Both
@@ -106,6 +83,61 @@ fn stage_obs(name: &'static str) -> StageObs {
     StageObs {
         _span: psbi_obs::Span::enter(name),
         _timer: psbi_obs::metrics::timer(name),
+    }
+}
+
+/// Workload counters of one sampling pass, aggregated over chips.
+///
+/// Deterministic for a fixed workload and prune mode: every chip is
+/// solved cold, so each count is an order-free sum of per-chip events.
+/// None of it is part of any canonical output surface — journals and
+/// canonical reports never embed them.
+///
+/// Per-stage wall times live in the `psbi_obs` metrics histograms
+/// (`solve.stage.discovery` / `.screen` / `.search` / `.milp`) — recorded
+/// only when the registry is armed, so the disarmed solve pays no clock
+/// reads at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct PassDiagnostics {
+    /// Regions processed (counted once per round they participate in).
+    pub regions_total: u64,
+    /// Regions larger than [`SolverOptions::region_cap`], solved by the
+    /// inexact sparsified-witness fallback.
+    pub regions_saturated: u64,
+    /// Always 0: no region decomposition is carried between solves.
+    /// Kept so existing readers of the counter still compile.
+    pub regions_reused: u64,
+    /// Always 0: no search outcome is carried between solves.  Kept so
+    /// existing readers of the counter still compile.
+    pub supports_rehit: u64,
+    /// Always 0: no search outcome is shared between chips.  Kept so
+    /// existing readers of the counter still compile.
+    pub cross_chip_hits: u64,
+    /// Branch-and-bound nodes visited by the region searches — a
+    /// deterministic function of the region systems and the prune mode.
+    pub search_nodes: u64,
+    /// Subtrees cut by the covering/matching/cascade lower bounds.
+    pub search_pruned_bound: u64,
+    /// Always 0: the search has no dominance rule.  Kept so existing
+    /// readers of the counter still compile.
+    pub search_pruned_dominance: u64,
+    /// `In` branches skipped by symmetry breaking (lower-slot
+    /// interchangeable twin already explored).
+    pub search_pruned_symmetry: u64,
+}
+
+impl PassDiagnostics {
+    /// Accumulates another pass/chunk worth of counters.
+    pub fn merge(&mut self, other: &Self) {
+        self.regions_total += other.regions_total;
+        self.regions_saturated += other.regions_saturated;
+        self.regions_reused += other.regions_reused;
+        self.supports_rehit += other.supports_rehit;
+        self.cross_chip_hits += other.cross_chip_hits;
+        self.search_nodes += other.search_nodes;
+        self.search_pruned_bound += other.search_pruned_bound;
+        self.search_pruned_dominance += other.search_pruned_dominance;
+        self.search_pruned_symmetry += other.search_pruned_symmetry;
     }
 }
 
@@ -165,11 +197,7 @@ pub enum PushObjective<'a> {
 }
 
 /// Tunable solver limits.
-///
-/// `Eq`/`Hash` because the options are part of every region-memo key:
-/// two region systems solved under different limits may legitimately
-/// return different (fallback) outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverOptions {
     /// Initial region radius (hops around violated constraints).
     pub region_radius: usize,
@@ -225,10 +253,10 @@ pub(crate) struct RegCons {
 /// scratch, the branch-and-bound's per-node buffers and the saturation
 /// screen's arc/bound arrays — lives in this struct and is reused across
 /// chips, so a steady-state pass performs no per-chip allocation outside
-/// the result vectors themselves.  Cross-*pass* state, by contrast, lives
-/// in per-chip [`ChipSolveState`]s owned by the caller: workspaces are
-/// checked out racily per chunk, so anything keyed to a chip identity
-/// must not live here.
+/// the result vectors themselves.  Workspaces are checked out racily per
+/// chunk, so nothing in here may change a chip's result: scratch is
+/// overwritten per chip and warm-start witnesses are only ever
+/// re-validated, never trusted.
 #[derive(Debug, Default)]
 pub struct SampleSolver {
     /// The warm-started SPFA solver of the whole-chip saturation screen.
@@ -270,9 +298,8 @@ struct RoundAcc {
 /// lives inline in each [`SampleSolver`] (the sequential `execute` path);
 /// extras are minted on demand when a task batch fans out across a thread
 /// pool, so concurrent searches never share mutable scratch.  Searches
-/// are warm-state independent by contract (the memo tier relies on
-/// exactly that purity), so which scratch instance a task lands on can
-/// never change its outcome.
+/// are warm-state independent by contract, so which scratch instance a
+/// task lands on can never change its outcome.
 #[derive(Debug, Default)]
 struct SearchScratch {
     diff: DiffSolver,
@@ -290,10 +317,8 @@ struct SearchScratch {
 impl SearchScratch {
     /// Region-*solving* half: the support branch and bound, as a pure
     /// function of (region FFs, materialised constraints, tuning windows,
-    /// limits).  The outcome is push-independent — what makes it cacheable
-    /// across passes with different objectives — and warm-state
-    /// independent, what makes it safe to run on any scratch from any
-    /// thread.
+    /// limits).  The outcome is warm-state independent, which is what
+    /// makes it safe to run on any scratch from any thread.
     fn search_region(
         &mut self,
         ffs: &[u32],
@@ -301,7 +326,7 @@ impl SearchScratch {
         space: &BufferSpace,
         opts: &SolverOptions,
         prune: bool,
-    ) -> (CachedOutcome, SearchStats) {
+    ) -> (SearchOutcome, SearchStats) {
         let m = ffs.len();
         // Map ff -> local slot.
         self.var_of.clear();
@@ -337,13 +362,12 @@ impl SearchScratch {
             bounds_scratch: std::mem::take(&mut self.ss_bounds),
             ps: std::mem::take(&mut self.ss_prune),
         };
-        let phase = run_support_search(&mut search, m, opts.region_cap);
+        let outcome = run_support_search(&mut search, m, opts.region_cap);
         let stats = search.stats;
         // Armed-only observability (byte-neutral): node counts are
         // deterministic per region system + prune mode, unlike wall time.
         psbi_obs::metrics::counter_add("solve.search.nodes", stats.nodes);
         psbi_obs::metrics::counter_add("solve.search.pruned.bound", stats.pruned_bound);
-        psbi_obs::metrics::counter_add("solve.search.pruned.dominance", stats.pruned_dominance);
         psbi_obs::metrics::counter_add("solve.search.pruned.symmetry", stats.pruned_symmetry);
         // Return the per-node scratch before the next task needs it.
         let (sv, ssl, sa, sb, sp) = search.into_scratch();
@@ -352,59 +376,29 @@ impl SearchScratch {
         self.ss_arcs = sa;
         self.ss_bounds = sb;
         self.ss_prune = sp;
-        let outcome = match phase {
-            SearchPhase::Infeasible => CachedOutcome::Infeasible,
-            SearchPhase::Fallback { support, witness } => CachedOutcome::Feasible {
-                count: support.len(),
-                support,
-                witness,
-                exact: false,
-            },
-            SearchPhase::Best {
-                count,
-                support,
-                witness,
-                exact,
-            } => CachedOutcome::Feasible {
-                count,
-                support,
-                witness,
-                exact,
-            },
-        };
         (outcome, stats)
     }
 }
 
 /// One sample solve, fully described: the chip's constraint system, the
 /// buffer space, the push objective, the solver limits, and the optional
-/// cache / execution tiers.
+/// execution tier.
 ///
-/// Build with [`SolveRequest::new`] (plain space) or
-/// [`SolveRequest::shared`] (a shared `Arc` space epoch — required for
-/// per-chip state), then chain [`SolveRequest::memo`],
-/// [`SolveRequest::state`] and [`SolveRequest::pool`] as needed.  Every
-/// tier is a field of the request instead of a separate entry point; the
-/// result is bit-identical for any combination of attached tiers.
+/// Build with [`SolveRequest::new`], then chain [`SolveRequest::pool`] and
+/// [`SolveRequest::search_prune`] as needed; the result is bit-identical
+/// either way.
 pub struct SolveRequest<'a> {
     sg: &'a SequentialGraph,
     ic: ConstraintsView<'a>,
     space: &'a BufferSpace,
-    /// The `Arc` identity of `space` when the caller solves against a
-    /// shared space epoch — what per-chip state revalidation keys on.
-    epoch: Option<&'a Arc<BufferSpace>>,
     push: PushObjective<'a>,
     opts: &'a SolverOptions,
-    memo: Option<&'a RegionMemo>,
-    state: Option<&'a mut ChipSolveState>,
     pool: Option<&'a rayon::ThreadPool>,
     search_prune: bool,
 }
 
 impl<'a> SolveRequest<'a> {
-    /// A request against a plain (unshared) buffer space.  Per-chip state
-    /// cannot ride such a request — revalidation needs the space's `Arc`
-    /// identity; use [`SolveRequest::shared`] for that.
+    /// A request for one chip against `space`.
     pub fn new(
         sg: &'a SequentialGraph,
         ic: ConstraintsView<'a>,
@@ -416,47 +410,11 @@ impl<'a> SolveRequest<'a> {
             sg,
             ic,
             space,
-            epoch: None,
             push,
             opts,
-            memo: None,
-            state: None,
             pool: None,
             search_prune: true,
         }
-    }
-
-    /// A request against a shared space epoch (the flow's per-pass
-    /// `Arc<BufferSpace>`), enabling [`SolveRequest::state`].
-    pub fn shared(
-        sg: &'a SequentialGraph,
-        ic: ConstraintsView<'a>,
-        space: &'a Arc<BufferSpace>,
-        push: PushObjective<'a>,
-        opts: &'a SolverOptions,
-    ) -> Self {
-        let mut req = Self::new(sg, ic, space.as_ref(), push, opts);
-        req.epoch = Some(space);
-        req
-    }
-
-    /// Attaches the flow-level cross-chip [`RegionMemo`] tier.
-    #[must_use]
-    pub fn memo(mut self, memo: &'a RegionMemo) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Attaches the chip's persistent cross-pass [`ChipSolveState`] tier.
-    /// Requires a request built with [`SolveRequest::shared`].
-    #[must_use]
-    pub fn state(mut self, state: &'a mut ChipSolveState) -> Self {
-        debug_assert!(
-            self.epoch.is_some(),
-            "per-chip state rides a shared space epoch; build with SolveRequest::shared"
-        );
-        self.state = Some(state);
-        self
     }
 
     /// Fans region searches out on `pool` instead of running them inline
@@ -467,14 +425,11 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Enables or disables the search's dominance / symmetry / bitset
+    /// Enables or disables the search's symmetry / bitset / cascade
     /// pruning rules (see [`solve::search`](self) module docs).  On by
     /// default; both modes return bit-identical results — the off mode is
     /// the byte-parity reference the `PSBI_NO_SEARCH_PRUNE=1` flow hatch
-    /// maps to.  Deliberately **not** part of [`SolverOptions`]: the
-    /// options struct keys every region-memo entry, and two prune modes
-    /// of the same region system produce the same outcome, so keying on
-    /// the mode would only split the memo for nothing.
+    /// maps to.
     #[must_use]
     pub fn search_prune(mut self, on: bool) -> Self {
         self.search_prune = on;
@@ -488,8 +443,7 @@ impl<'a> SolveRequest<'a> {
 pub struct SolveOutcome {
     /// The sample's solution.
     pub result: SampleResult,
-    /// Workload / cache-efficacy counters of this solve (see
-    /// [`PassDiagnostics`] for which of them are deterministic).
+    /// Workload counters of this solve (see [`PassDiagnostics`]).
     pub diag: PassDiagnostics,
 }
 
@@ -506,42 +460,27 @@ pub struct RegionTask {
 /// One executed region search, opaque to callers: produced (in task
 /// order) by [`SampleSolver::execute`], consumed by
 /// [`SolveSession::commit`].  Carries the search's node/prune counters
-/// so `commit` can fold them into [`PassDiagnostics`] — replayed and
-/// memo-hit regions never reach `execute` and correctly contribute zero
-/// nodes.
+/// so `commit` can fold them into [`PassDiagnostics`].
 #[derive(Debug, Clone)]
 pub struct RegionOutcome {
-    out: Arc<CachedOutcome>,
+    out: SearchOutcome,
     stats: SearchStats,
-}
-
-/// How one planned region obtains its outcome at commit time.
-enum Slot {
-    /// Replayed from the chip's own history: the outcome is already in
-    /// the cached region, nothing to record.
-    Replay,
-    /// Cross-chip memo hit, recorded into the chip state at commit.
-    Hit(Arc<CachedOutcome>),
-    /// Fresh search: the outcome arrives from [`SampleSolver::execute`]
-    /// at this task index and is published under the captured memo key.
-    Fresh(usize, Option<MemoKey>),
 }
 
 /// An in-flight sample solve, split at the region boundary.
 ///
 /// [`SampleSolver::begin`] runs violation discovery and the whole-chip
 /// screen and returns a session; then, until [`SolveSession::is_done`],
-/// [`SolveSession::plan`] yields the current round's outstanding searches
-/// as [`RegionTask`]s, [`SampleSolver::execute`] runs them (inline or on
-/// a pool), and [`SolveSession::commit`] applies the outcomes **in pinned
+/// [`SolveSession::plan`] yields the current round's region searches as
+/// [`RegionTask`]s, [`SampleSolver::execute`] runs them (inline or on a
+/// pool), and [`SolveSession::commit`] applies the outcomes **in pinned
 /// region order** — which keeps results bit-identical regardless of the
 /// order tasks actually completed in.  [`SolveSession::finish`] yields
 /// the [`SolveOutcome`].
 ///
-/// The split exists so a caller driving many chips at once (the flow's
-/// sample chunks) can aggregate the tasks of several sessions into one
-/// batch and fan the whole batch out together; [`SampleSolver::solve`] is
-/// the single-chip loop over the same pieces.
+/// The split exists so a caller can drive the rounds itself (and time
+/// or trace each stage); [`SampleSolver::solve`] is the single-chip loop
+/// over the same pieces.
 pub struct SolveSession<'a> {
     req: SolveRequest<'a>,
     /// Violated constraints of the chip (taken from the solver's scratch
@@ -551,73 +490,11 @@ pub struct SolveSession<'a> {
     radius: usize,
     round: usize,
     planned: bool,
-    /// Cold-path decomposition of the current round.
-    cold_regions: Vec<Region>,
-    /// Cached-path round entry index in the chip state.
-    entry: usize,
+    /// Region decomposition of the current round.
+    regions: Vec<Region>,
     /// Materialised constraint system per region, in region order.
     cons: Vec<Vec<RegCons>>,
-    /// Outcome source per region, in region order.
-    slots: Vec<Slot>,
-    n_tasks: usize,
     done: Option<SampleResult>,
-}
-
-/// Resolves one non-replayable region against the cross-chip memo tier:
-/// a hit (exact key equality) becomes an immediate outcome; a miss (or no
-/// memo) appends a [`RegionTask`] for `execute`.
-fn plan_slot(
-    region: &Region,
-    cons: &[RegCons],
-    space: &BufferSpace,
-    opts: &SolverOptions,
-    memo: Option<&RegionMemo>,
-    diag: &mut PassDiagnostics,
-    tasks: &mut Vec<RegionTask>,
-) -> Slot {
-    if let Some(memo) = memo {
-        let key = MemoKey::capture(region, cons, space, opts);
-        if let Some(hit) = memo.lookup(&key) {
-            diag.cross_chip_hits += 1;
-            psbi_obs::metrics::counter_add("solve.memo.hit", 1);
-            let outcome = if psbi_fault::failpoint!("memo.replay.corrupt") {
-                // Injected cache corruption: a claimed-feasible outcome
-                // whose support is empty.  Downstream this yields a chip
-                // "fixed" with no tunings — exactly the class of silent
-                // wrong answer the independent verifier must flag.
-                Arc::new(CachedOutcome::Feasible {
-                    count: 0,
-                    support: Vec::new(),
-                    witness: Vec::new(),
-                    exact: true,
-                })
-            } else {
-                hit
-            };
-            return Slot::Hit(outcome);
-        }
-        psbi_obs::metrics::counter_add("solve.memo.miss", 1);
-        tasks.push(RegionTask {
-            ffs: region.ffs.clone(),
-            cons: cons.to_vec(),
-        });
-        Slot::Fresh(tasks.len() - 1, Some(key))
-    } else {
-        tasks.push(RegionTask {
-            ffs: region.ffs.clone(),
-            cons: cons.to_vec(),
-        });
-        Slot::Fresh(tasks.len() - 1, None)
-    }
-}
-
-/// Publishes a freshly searched outcome to the cross-chip memo, when both
-/// the memo tier and a captured key are present.
-fn publish(memo: Option<&RegionMemo>, key: Option<MemoKey>, outcome: &Arc<CachedOutcome>) {
-    if let (Some(memo), Some(key)) = (memo, key) {
-        memo.publish(key, Arc::clone(outcome));
-        psbi_obs::metrics::counter_add("solve.memo.publish", 1);
-    }
 }
 
 impl<'a> SolveSession<'a> {
@@ -647,173 +524,93 @@ impl<'a> SolveSession<'a> {
         self.req.search_prune
     }
 
-    /// Plans the current round: builds (or replays) the region
-    /// decomposition, resolves every region against the cache tiers, and
-    /// returns the regions that still need a fresh search as
-    /// self-contained [`RegionTask`]s.  Must be followed by exactly one
-    /// [`SolveSession::commit`] carrying the executed outcomes.
+    /// Plans the current round: builds the region decomposition and
+    /// returns one self-contained [`RegionTask`] per region, in region
+    /// order.  Must be followed by exactly one [`SolveSession::commit`]
+    /// carrying the executed outcomes.
     pub fn plan(&mut self, solver: &mut SampleSolver) -> Vec<RegionTask> {
         assert!(!self.is_done(), "plan on a finished session");
         debug_assert!(!self.planned, "plan called twice without a commit");
         let _span = psbi_obs::Span::enter("solve.region.plan");
-        self.cons.clear();
-        self.slots.clear();
-        self.cold_regions.clear();
-        let sg = self.req.sg;
-        let ic = self.req.ic;
         let space = self.req.space;
-        let opts = self.req.opts;
-        let memo = self.req.memo;
-        let radius = self.radius;
-        let mut tasks = Vec::new();
-        match self.req.state.as_deref_mut() {
-            Some(st) => {
-                let entry = match st.round_index(radius) {
-                    Some(i) => {
-                        self.diag.regions_reused += st.rounds[i].regions.len() as u64;
-                        i
-                    }
-                    None => {
-                        let regions = {
-                            let _obs = stage_obs("solve.stage.discovery");
-                            solver.collect_regions(sg, space, &self.violated, radius)
-                        };
-                        let cached = regions.into_iter().map(CachedRegion::new).collect();
-                        st.insert_round(radius, opts.region_radius, cached)
-                    }
-                };
-                self.entry = entry;
-                for cr in st.rounds[entry].regions.iter_mut() {
-                    self.diag.regions_total += 1;
-                    if cr.region.ffs.len() > opts.region_cap {
-                        self.diag.regions_saturated += 1;
-                    }
-                    let cons = materialize_cons(&cr.region, ic, space);
-                    if cr.outcome_replayable(&cons, space) {
-                        // Count only replayed *supports*: an Infeasible
-                        // replay skips the search too, but there is no
-                        // support set in it.
-                        if matches!(cr.outcome.as_deref(), Some(CachedOutcome::Feasible { .. })) {
-                            self.diag.supports_rehit += 1;
-                        }
-                        self.slots.push(Slot::Replay);
-                    } else {
-                        self.slots.push(plan_slot(
-                            &cr.region,
-                            &cons,
-                            space,
-                            opts,
-                            memo,
-                            &mut self.diag,
-                            &mut tasks,
-                        ));
-                    }
-                    self.cons.push(cons);
-                }
+        self.regions = {
+            let _obs = stage_obs("solve.stage.discovery");
+            solver.collect_regions(self.req.sg, space, &self.violated, self.radius)
+        };
+        self.cons.clear();
+        let mut tasks = Vec::with_capacity(self.regions.len());
+        for region in &self.regions {
+            self.diag.regions_total += 1;
+            if region.ffs.len() > self.req.opts.region_cap {
+                self.diag.regions_saturated += 1;
             }
-            None => {
-                let regions = {
-                    let _obs = stage_obs("solve.stage.discovery");
-                    solver.collect_regions(sg, space, &self.violated, radius)
-                };
-                for region in &regions {
-                    self.diag.regions_total += 1;
-                    if region.ffs.len() > opts.region_cap {
-                        self.diag.regions_saturated += 1;
-                    }
-                    let cons = materialize_cons(region, ic, space);
-                    self.slots.push(plan_slot(
-                        region,
-                        &cons,
-                        space,
-                        opts,
-                        memo,
-                        &mut self.diag,
-                        &mut tasks,
-                    ));
-                    self.cons.push(cons);
-                }
-                self.cold_regions = regions;
-            }
+            let cons = materialize_cons(region, self.req.ic, space);
+            tasks.push(RegionTask {
+                ffs: region.ffs.clone(),
+                cons: cons.clone(),
+            });
+            self.cons.push(cons);
         }
-        self.n_tasks = tasks.len();
         self.planned = true;
         tasks
     }
 
-    /// Commits one executed round: outcomes are recorded into the cache
-    /// tiers, published to the memo and applied **in pinned region
-    /// order** (never completion order), then the round accumulator
-    /// decides growth — the session either concludes or re-arms for the
-    /// next round at the grown radius (a region's optimal count exceeding
-    /// the radius provably fits within radius = count; two rounds
-    /// suffice, a third guards the node-capped inexact case).
+    /// Commits one executed round: outcomes are applied **in pinned
+    /// region order** (never completion order), then the round
+    /// accumulator decides growth — the session either concludes or
+    /// re-arms for the next round at the grown radius (a region's optimal
+    /// count exceeding the radius provably fits within radius = count;
+    /// two rounds suffice, a third guards the node-capped inexact case).
     pub fn commit(&mut self, solver: &mut SampleSolver, outcomes: &[RegionOutcome]) {
         assert!(self.planned, "commit without a plan");
         assert_eq!(
             outcomes.len(),
-            self.n_tasks,
+            self.regions.len(),
             "commit needs exactly one outcome per planned task"
         );
-        for o in outcomes {
-            self.diag.search_nodes += o.stats.nodes;
-            self.diag.search_pruned_bound += o.stats.pruned_bound;
-            self.diag.search_pruned_dominance += o.stats.pruned_dominance;
-            self.diag.search_pruned_symmetry += o.stats.pruned_symmetry;
-        }
-        let space = self.req.space;
-        let push = self.req.push;
-        let opts = self.req.opts;
-        let memo = self.req.memo;
         let radius = self.radius;
         let mut acc = RoundAcc {
             tunings: Vec::new(),
             exact: true,
             need_radius: radius,
         };
-        match self.req.state.as_deref_mut() {
-            Some(st) => {
-                for (i, cr) in st.rounds[self.entry].regions.iter_mut().enumerate() {
-                    let cons = &self.cons[i];
-                    let outcome = match std::mem::replace(&mut self.slots[i], Slot::Replay) {
-                        Slot::Replay => {
-                            Arc::clone(cr.outcome.as_ref().expect("replayable slot has an outcome"))
-                        }
-                        Slot::Hit(hit) => {
-                            cr.record(cons, space, Arc::clone(&hit));
-                            hit
-                        }
-                        Slot::Fresh(task, key) => {
-                            let fresh = Arc::clone(&outcomes[task].out);
-                            cr.record(cons, space, Arc::clone(&fresh));
-                            publish(memo, key, &fresh);
-                            fresh
-                        }
-                    };
-                    // `cr` borrows the state arena slot, `solver` owns the
-                    // push scratch — disjoint, so the objective runs in
-                    // place.
-                    solver.apply_outcome(
-                        &cr.region, cons, &outcome, space, push, opts, radius, &mut acc,
-                    );
-                }
-            }
-            None => {
-                for (i, region) in self.cold_regions.iter().enumerate() {
-                    let cons = &self.cons[i];
-                    let outcome = match std::mem::replace(&mut self.slots[i], Slot::Replay) {
-                        Slot::Replay => unreachable!("cold rounds never replay"),
-                        Slot::Hit(hit) => hit,
-                        Slot::Fresh(task, key) => {
-                            let fresh = Arc::clone(&outcomes[task].out);
-                            publish(memo, key, &fresh);
-                            fresh
-                        }
-                    };
-                    solver
-                        .apply_outcome(region, cons, &outcome, space, push, opts, radius, &mut acc);
-                }
-            }
+        // The push objective as the corruption failpoint's `push` argument,
+        // so a spec can target one pass class: 0 count-only (A1, B1),
+        // 1 push-to-zero (A3), 2 concentrate-to-targets (B2).
+        let push = match self.req.push {
+            PushObjective::None => 0,
+            PushObjective::ToZero => 1,
+            PushObjective::ToTargets(_) => 2,
+        };
+        for ((region, cons), o) in self.regions.iter().zip(&self.cons).zip(outcomes) {
+            self.diag.search_nodes += o.stats.nodes;
+            self.diag.search_pruned_bound += o.stats.pruned_bound;
+            self.diag.search_pruned_symmetry += o.stats.pruned_symmetry;
+            let corrupt;
+            let outcome = if psbi_fault::failpoint!("solve.outcome.corrupt", "push" = push) {
+                // Injected corruption: a region claimed fixed with no
+                // tunings — the class of silent wrong answer the
+                // independent verifier must flag.
+                corrupt = SearchOutcome::Feasible {
+                    count: 0,
+                    support: Vec::new(),
+                    witness: Vec::new(),
+                    exact: true,
+                };
+                &corrupt
+            } else {
+                &o.out
+            };
+            solver.apply_outcome(
+                region,
+                cons,
+                outcome,
+                self.req.space,
+                self.req.push,
+                self.req.opts,
+                radius,
+                &mut acc,
+            );
         }
         self.planned = false;
         if acc.need_radius == radius || self.round == 2 {
@@ -859,8 +656,8 @@ impl SampleSolver {
     }
 
     /// Solves one sample end to end: minimum buffer count, then
-    /// (optionally) value concentration, with whichever cache and
-    /// execution tiers the request carries.  This is the solver's single
+    /// (optionally) value concentration, on the request's pool if it
+    /// carries one.  This is the solver's single
     /// entry point; [`SampleSolver::begin`] / [`SolveSession::plan`] /
     /// [`SampleSolver::execute`] / [`SolveSession::commit`] are the same
     /// pipeline exposed at the region boundary, for callers interleaving
@@ -882,11 +679,11 @@ impl SampleSolver {
         session.finish()
     }
 
-    /// Starts a sample solve: violation discovery, chip-state
-    /// revalidation and the whole-chip saturation screen.  The returned
-    /// session has either concluded already (no violations, or provably
-    /// unfixable) or awaits plan/execute/commit rounds.
-    pub fn begin<'a>(&mut self, mut req: SolveRequest<'a>) -> SolveSession<'a> {
+    /// Starts a sample solve: violation discovery and the whole-chip
+    /// saturation screen.  The returned session has either concluded
+    /// already (no violations, or provably unfixable) or awaits
+    /// plan/execute/commit rounds.
+    pub fn begin<'a>(&mut self, req: SolveRequest<'a>) -> SolveSession<'a> {
         let n = req.sg.n_ffs;
         debug_assert_eq!(req.space.has_buffer.len(), n);
 
@@ -897,15 +694,6 @@ impl SampleSolver {
             let _obs = stage_obs("solve.stage.discovery");
             req.ic.collect_violations(req.sg, &mut violated);
         }
-        // Chip-level revalidation clears any cached decomposition whose
-        // invalidation keys no longer match; everything that survives is
-        // safe to replay in `plan`.
-        if let Some(st) = req.state.as_deref_mut() {
-            let epoch = req
-                .epoch
-                .expect("per-chip state rides a shared space epoch");
-            st.revalidate(req.sg, epoch, req.opts, &violated);
-        }
         let radius = req.opts.region_radius;
         let mut session = SolveSession {
             req,
@@ -914,11 +702,8 @@ impl SampleSolver {
             radius,
             round: 0,
             planned: false,
-            cold_regions: Vec::new(),
-            entry: 0,
+            regions: Vec::new(),
             cons: Vec::new(),
-            slots: Vec::new(),
-            n_tasks: 0,
             done: None,
         };
 
@@ -954,27 +739,10 @@ impl SampleSolver {
         // 2. Infeasibility screen at full saturation: if the chip cannot be
         // configured even with *every* buffer free, no region growth can
         // help (a negative cycle stays negative), so decide this once with
-        // a single SPFA instead of growing regions toward it.  The
-        // carried per-chip witness seeds the solver's warm slot; it is
-        // fully re-validated there, so importing never changes the verdict.
+        // a single SPFA instead of growing regions toward it.
         let fixable = {
             let _obs = stage_obs("solve.stage.screen");
-            if let Some(st) = session.req.state.as_deref_mut() {
-                if st.fixable_ok {
-                    self.diff.import_witness(&st.fixable_witness);
-                }
-            }
-            let fixable = self.chip_fixable(session.req.sg, session.req.ic, session.req.space);
-            if let Some(st) = session.req.state.as_deref_mut() {
-                if fixable {
-                    if let Some(w) = self.diff.export_witness() {
-                        st.fixable_witness.clear();
-                        st.fixable_witness.extend_from_slice(w);
-                        st.fixable_ok = true;
-                    }
-                }
-            }
-            fixable
+            self.chip_fixable(session.req.sg, session.req.ic, session.req.space)
         };
         if !fixable {
             session.conclude(
@@ -1031,10 +799,7 @@ impl SampleSolver {
                                 .lock()
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                                 .push(scratch);
-                            RegionOutcome {
-                                out: Arc::new(out),
-                                stats,
-                            }
+                            RegionOutcome { out, stats }
                         })
                         .collect()
                 })
@@ -1046,96 +811,10 @@ impl SampleSolver {
                     let (out, stats) = self
                         .search
                         .search_region(&t.ffs, &t.cons, space, opts, prune);
-                    RegionOutcome {
-                        out: Arc::new(out),
-                        stats,
-                    }
+                    RegionOutcome { out, stats }
                 })
                 .collect(),
         }
-    }
-
-    /// Solves one sample from a borrowed constraint view (an
-    /// [`IntegerConstraints`] or one row of a
-    /// [`psbi_timing::ConstraintBatch`]), without cross-pass state.
-    #[deprecated(note = "build a `SolveRequest` and call `SampleSolver::solve`")]
-    pub fn solve_view(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &BufferSpace,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-    ) -> SampleResult {
-        self.solve(SolveRequest::new(sg, ic, space, push, opts))
-            .result
-    }
-
-    /// As the plain solve, accumulating the *workload* counters
-    /// (`regions_total`, `regions_saturated`) into `diag`.
-    #[deprecated(note = "build a `SolveRequest` and call `SampleSolver::solve`")]
-    pub fn solve_view_with_diag(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &BufferSpace,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-        diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let out = self.solve(SolveRequest::new(sg, ic, space, push, opts));
-        diag.merge(&out.diag);
-        out.result
-    }
-
-    /// Solves one sample with persistent per-chip state (see
-    /// [`SolveRequest::state`]).
-    #[deprecated(
-        note = "build a `SolveRequest::shared(..).state(..)` and call `SampleSolver::solve`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_view_cached(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &Arc<BufferSpace>,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-        solve_state: &mut ChipSolveState,
-        diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let out = self.solve(SolveRequest::shared(sg, ic, space, push, opts).state(solve_state));
-        diag.merge(&out.diag);
-        out.result
-    }
-
-    /// The full shared-state entry point: per-chip incremental state
-    /// (optional) plus a flow-level cross-chip [`RegionMemo`] (optional).
-    #[deprecated(
-        note = "build a `SolveRequest` with `.memo(..)` / `.state(..)` and call `SampleSolver::solve`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_view_memo(
-        &mut self,
-        sg: &SequentialGraph,
-        ic: ConstraintsView<'_>,
-        space: &Arc<BufferSpace>,
-        push: PushObjective<'_>,
-        opts: &SolverOptions,
-        memo: Option<&RegionMemo>,
-        solve_state: Option<&mut ChipSolveState>,
-        diag: &mut PassDiagnostics,
-    ) -> SampleResult {
-        let mut req = SolveRequest::shared(sg, ic, space, push, opts);
-        if let Some(m) = memo {
-            req = req.memo(m);
-        }
-        if let Some(st) = solve_state {
-            req = req.state(st);
-        }
-        let out = self.solve(req);
-        diag.merge(&out.diag);
-        out.result
     }
 
     /// Applies one region's search outcome to the round accumulator:
@@ -1145,7 +824,7 @@ impl SampleSolver {
         &mut self,
         region: &Region,
         cons: &[RegCons],
-        outcome: &CachedOutcome,
+        outcome: &SearchOutcome,
         space: &BufferSpace,
         push: PushObjective<'_>,
         opts: &SolverOptions,
@@ -1153,7 +832,7 @@ impl SampleSolver {
         acc: &mut RoundAcc,
     ) {
         match outcome {
-            CachedOutcome::Feasible {
+            SearchOutcome::Feasible {
                 count,
                 support,
                 witness,
@@ -1169,7 +848,7 @@ impl SampleSolver {
                 acc.tunings.extend(tunings);
                 acc.exact &= exact;
             }
-            CachedOutcome::Infeasible => {
+            SearchOutcome::Infeasible => {
                 // The chip as a whole is fixable (screened above); a
                 // region-local infeasibility means the region is too
                 // small — grow it.
@@ -1182,10 +861,9 @@ impl SampleSolver {
     /// One SPFA over the whole circuit with every buffer free: can this
     /// chip be configured at all?
     ///
-    /// Uses the warm-started solver: the witness carried for this chip
-    /// (incremental mode) or left by the previous chip (workspace reuse)
-    /// usually still fits, in which case this is a single `O(edges)`
-    /// validation sweep with no graph build at all.
+    /// Uses the warm-started solver: the witness left by the previous
+    /// chip (workspace reuse) usually still fits, in which case this is a
+    /// single `O(edges)` validation sweep with no graph build at all.
     fn chip_fixable(
         &mut self,
         sg: &SequentialGraph,
@@ -1267,8 +945,7 @@ impl SampleSolver {
     /// constraint endpoint, split into connected components.
     ///
     /// This is the region-*discovery* half of the solve — a pure function
-    /// of (`has_buffer`, ordered violated endpoints, `radius`, graph), the
-    /// exact triple the decomposition cache keys on.
+    /// of (`has_buffer`, ordered violated endpoints, `radius`, graph).
     fn collect_regions(
         &mut self,
         sg: &SequentialGraph,
@@ -1425,9 +1102,7 @@ impl SampleSolver {
     /// budget, as a MILP over the region (paper eqs. (14)–(21)).
     ///
     /// The MILP is warm-started with the search witness — a verified
-    /// feasible point supplied identically whether the witness came from a
-    /// fresh search or an incremental replay, so the warm start never
-    /// distinguishes the two modes.
+    /// feasible point.
     #[allow(clippy::too_many_arguments)]
     fn concentrate(
         &mut self,
@@ -1662,15 +1337,6 @@ impl SampleSolver {
 /// neighbourhood, and on paper-scale circuits the overwhelming majority
 /// of those bounds are vacuous).  Violated bounds are negative and caps
 /// never are, so every violated constraint survives exactly.
-///
-/// Normalisation is applied identically on the cold and incremental
-/// paths (it is part of the materialisation, not the cache), and it
-/// makes the materialised system — and therefore the outcome-replay and
-/// cross-chip memo fingerprints — invariant to slack drift on
-/// non-binding constraints.  That is what lets adjacent sweep targets,
-/// whose period shift perturbs every non-critical bound by a step or
-/// two, still replay each other's search outcomes for chips whose
-/// *binding* structure is unchanged.
 fn materialize_cons(region: &Region, ic: ConstraintsView<'_>, space: &BufferSpace) -> Vec<RegCons> {
     // Membership is checked against the region's sorted FF list; regions
     // are small, so a sorted probe beats touching an n-sized scratch.

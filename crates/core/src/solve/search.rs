@@ -3,9 +3,7 @@
 //! Split out of the orchestration layer ([`super`]) so region *solving* is
 //! a pure function of its inputs: the region's flip-flops, the
 //! materialised constraint bounds, the tuning windows and the solver
-//! limits.  Nothing here reads or writes cross-pass state — incremental
-//! reuse happens one level up by *replaying* a cached outcome after an
-//! exact input comparison, never by steering this search.
+//! limits.  Nothing here reads or writes state carried between solves.
 //!
 //! # Pinned tie-breaking
 //!
@@ -21,14 +19,8 @@
 //!   first optimal-count support reached in that order is the one
 //!   returned.
 //!
-//! This is what lets the incremental layer cache a region's outcome and
-//! replay it later: re-running the search on identical inputs provably
-//! reproduces the cached support bit for bit.  (Seeding the search with a
-//! cached incumbent instead was considered and rejected: under
-//! [`SolverOptions::bb_node_cap`](super::SolverOptions::bb_node_cap) a
-//! seeded search can exhaust its node budget at a different point than an
-//! unseeded one and return an observably different fallback, breaking the
-//! `PSBI_NO_INCREMENTAL` bit-identity contract.)
+//! This is what makes region fan-out safe: a search returns the same
+//! support bit for bit on any thread and any scratch workspace.
 //!
 //! # Pruning (node elimination that preserves the pin)
 //!
@@ -62,15 +54,7 @@
 //!    on whatever slot the pinned rule picks; interchangeable slots have
 //!    equal coverage scores, so the class's lowest slot is branched first
 //!    and acts as the representative.
-//! 3. **Dominance elimination.**  Slot `v` is *dominated* by `u` when the
-//!    swap maps the constraint multiset onto itself and `v`'s window is a
-//!    strict subset of `u`'s (the wider-window twin can do anything the
-//!    narrower one can).  Rule: skip `v`'s `In` branch whenever `u` is
-//!    `Out` — the same swap argument applies; the witness value moved
-//!    from `v` to `u` stays inside `u`'s wider window.  (Folding dominated
-//!    slots away at the root instead is unsound: a support may need *both*
-//!    twins.)
-//! 4. **Cascade lower bound.**  Once every violated constraint is covered
+//! 3. **Cascade lower bound.**  Once every violated constraint is covered
 //!    the covering bounds go blind, yet supports must often keep growing
 //!    because tuning one flip-flop violates the *tight non-violated*
 //!    constraints next to it — the regime where the reference search
@@ -106,7 +90,7 @@ pub(crate) enum Decision {
 /// fixed region system and prune mode (the search is a pure function);
 /// aggregated into [`PassDiagnostics`](super::PassDiagnostics) and the
 /// armed-only obs counters `solve.search.nodes` /
-/// `solve.search.pruned.{bound,dominance,symmetry}`.
+/// `solve.search.pruned.{bound,symmetry}`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct SearchStats {
     /// Branch-and-bound nodes visited (recursion entries).
@@ -114,9 +98,6 @@ pub(crate) struct SearchStats {
     /// Subtrees cut by the covering/matching lower bounds (including the
     /// trivial incumbent bound — also counted in reference mode).
     pub(crate) pruned_bound: u64,
-    /// `In` branches skipped because a dominating wider-window twin was
-    /// `Out`.
-    pub(crate) pruned_dominance: u64,
     /// `In` branches skipped because a lower-slot interchangeable twin
     /// was `Out`.
     pub(crate) pruned_symmetry: u64,
@@ -126,30 +107,46 @@ impl SearchStats {
     /// Total subtrees eliminated by any rule.
     #[cfg(test)]
     pub(crate) fn pruned_total(&self) -> u64 {
-        self.pruned_bound + self.pruned_dominance + self.pruned_symmetry
+        self.pruned_bound + self.pruned_symmetry
     }
 }
 
-/// Outcome of one region's support search.
-pub(crate) enum SearchPhase {
+/// Push-independent outcome of one region's support search (the part
+/// of a region solve that [`PushObjective`](super::PushObjective) does
+/// not influence).
+#[derive(Debug, Clone)]
+pub(crate) enum SearchOutcome {
+    /// The region (at this radius) admits no feasible support.
     Infeasible,
-    /// Greedy (inexact) support from witness sparsification.
-    Fallback {
-        support: Vec<u32>,
-        witness: Vec<i64>,
-    },
-    /// Proven-best support from the branch and bound.
-    Best {
+    /// A support was found: the proven best from the branch and bound,
+    /// or a greedy (inexact) one from witness sparsification.
+    Feasible {
+        /// Support size (the paper's per-chip `n_k` contribution).
         count: usize,
+        /// The support FFs, in pinned search order.
         support: Vec<u32>,
+        /// Witness tuning per support entry.
         witness: Vec<i64>,
+        /// Whether the search proved optimality.
         exact: bool,
     },
 }
 
+impl SearchOutcome {
+    /// The greedy fallback: a sparsified witness, never proven optimal.
+    fn fallback((support, witness): (Vec<u32>, Vec<i64>)) -> Self {
+        Self::Feasible {
+            count: support.len(),
+            support,
+            witness,
+            exact: false,
+        }
+    }
+}
+
 /// Reusable buffers of the pruning machinery: coverage bitsets, the
 /// incremental uncovered mask with its save/restore stack, and the
-/// symmetry/dominance guard links.  Owned by the per-thread
+/// symmetry guard links.  Owned by the per-thread
 /// `SearchScratch` and taken for each region, so a steady-state pass
 /// allocates nothing here.
 #[derive(Debug, Default)]
@@ -166,9 +163,9 @@ pub(crate) struct PruneScratch {
     mask_stack: Vec<u64>,
     /// Per violated constraint: its endpoints' local slots (or `NONE`).
     vio_ends: Vec<(u32, u32)>,
-    /// Flattened guard links: `(guard slot, is_symmetry)` — when the
-    /// guard is `Out`, the owning slot's `In` branch is skipped.
-    pub(crate) links: Vec<(u32, bool)>,
+    /// Flattened symmetry guard links: when a guard slot is `Out`, the
+    /// owning slot's `In` branch is skipped.
+    pub(crate) links: Vec<u32>,
     /// `links` range of slot `v` is `link_start[v] .. link_start[v + 1]`.
     pub(crate) link_start: Vec<u32>,
     /// Per-node scratch: undecided slots' uncovered-coverage popcounts.
@@ -206,43 +203,39 @@ pub(crate) struct PruneScratch {
     dense_arcs: Vec<Arc>,
 }
 
-/// Drives one region's support search to a [`SearchPhase`].
+/// Drives one region's support search to its [`SearchOutcome`].
 pub(crate) fn run_support_search(
     search: &mut SupportSearch<'_>,
     m: usize,
     region_cap: usize,
-) -> SearchPhase {
+) -> SearchOutcome {
     let mut state = vec![Decision::Undecided; m];
     // Quick relaxation check with everything allowed.
     if !search.feasible_support(&state, true) {
-        return SearchPhase::Infeasible;
+        return SearchOutcome::Infeasible;
     }
     let mut full_witness = Vec::new();
     search.solver.copy_witness(m, &mut full_witness);
     if m > region_cap {
         // Region too large for exact search: sparsify the full witness
         // greedily (drop small tunings while feasibility holds).
-        let (support, witness) = search.sparsify(&full_witness);
-        return SearchPhase::Fallback { support, witness };
+        return SearchOutcome::fallback(search.sparsify(&full_witness));
     }
     if search.prune {
         search.prepare_prune();
     }
     search.recurse(&mut state, true);
     match search.best.take() {
-        Some((count, support, witness)) => SearchPhase::Best {
+        Some((count, support, witness)) => SearchOutcome::Feasible {
             count,
             support,
             witness,
             exact: search.exact,
         },
-        None if !search.exact => {
-            // Node cap exhausted with no incumbent: fall back to the
-            // sparsified relaxation witness.
-            let (support, witness) = search.sparsify(&full_witness);
-            SearchPhase::Fallback { support, witness }
-        }
-        None => SearchPhase::Infeasible,
+        // Node cap exhausted with no incumbent: fall back to the
+        // sparsified relaxation witness.
+        None if !search.exact => SearchOutcome::fallback(search.sparsify(&full_witness)),
+        None => SearchOutcome::Infeasible,
     }
 }
 
@@ -275,7 +268,7 @@ pub(crate) struct SupportSearch<'a> {
     pub(crate) best: Option<(usize, Vec<u32>, Vec<i64>)>,
     pub(crate) node_cap: usize,
     pub(crate) exact: bool,
-    /// Dominance/symmetry/bitset pruning on (the production default) or
+    /// Symmetry/bitset/cascade pruning on (the production default) or
     /// off (the byte-parity reference mode, `PSBI_NO_SEARCH_PRUNE=1`).
     pub(crate) prune: bool,
     pub(crate) stats: SearchStats,
@@ -467,8 +460,7 @@ impl SupportSearch<'_> {
     }
 
     /// One-time pruning setup for a region that will branch: coverage
-    /// bitsets, the root uncovered mask, and the symmetry/dominance
-    /// guard links.  Only runs with `prune` on, after the root relaxation
+    /// bitsets, the root uncovered mask, and the symmetry guard links.  Only runs with `prune` on, after the root relaxation
     /// check, for regions within `region_cap` (≤ 48 slots by default, so
     /// the pairwise twin scan is small).
     pub(crate) fn prepare_prune(&mut self) {
@@ -550,25 +542,16 @@ impl SupportSearch<'_> {
         }
 
         // Guard links.  For every slot v (ascending — `link_start` is a
-        // prefix index) find the twins whose `Out` makes v's `In` branch
-        // redundant: lower interchangeable slots (symmetry, lowest slot
-        // is the class representative) and strictly-wider-window twins
-        // (dominance, either slot order — any `Out` guard was branched
-        // at an ancestor with its `In` subtree fully explored first).
+        // prefix index) find the lower interchangeable slots whose `Out`
+        // makes v's `In` branch redundant (the class's lowest slot is its
+        // representative).
         ps.links.clear();
         ps.link_start.clear();
         ps.link_start.push(0);
         for v in 0..m {
             let wv = bounds[region_ffs[v] as usize];
-            for u in 0..m {
-                if u == v {
-                    continue;
-                }
-                let wu = bounds[region_ffs[u] as usize];
-                let equal = wu == wv;
-                let wider = wu.0 <= wv.0 && wu.1 >= wv.1 && !equal;
-                let sym = equal && u < v;
-                if !sym && !wider {
+            for u in 0..v {
+                if bounds[region_ffs[u] as usize] != wv {
                     continue;
                 }
                 // Degree prefilter: a swap maps v's row onto u's.
@@ -610,7 +593,7 @@ impl SupportSearch<'_> {
                 ps.pair_orig.sort_unstable();
                 ps.pair_swap.sort_unstable();
                 if ps.pair_orig == ps.pair_swap {
-                    ps.links.push((u as u32, sym));
+                    ps.links.push(u as u32);
                 }
             }
             ps.link_start.push(ps.links.len() as u32);
@@ -768,15 +751,14 @@ impl SupportSearch<'_> {
         }
     }
 
-    /// Whether the pinned rules let `v`'s `In` branch be skipped at the
-    /// current state: `Some(is_symmetry)` when a guard twin is `Out`.
-    fn in_skip(&self, v: usize, state: &[Decision]) -> Option<bool> {
+    /// Whether the symmetry rule lets `v`'s `In` branch be skipped at the
+    /// current state: some lower interchangeable twin is `Out`.
+    fn in_skip(&self, v: usize, state: &[Decision]) -> bool {
         let s = self.ps.link_start[v] as usize;
         let e = self.ps.link_start[v + 1] as usize;
         self.ps.links[s..e]
             .iter()
-            .find(|(u, _)| state[*u as usize] == Decision::Out)
-            .map(|&(_, sym)| sym)
+            .any(|&u| state[u as usize] == Decision::Out)
     }
 
     /// Bitset lower bound on *additional* support slots: the max of the
@@ -959,32 +941,25 @@ impl SupportSearch<'_> {
         let Some(v) = pick else {
             return; // everything decided yet infeasible with In
         };
-        let skip_in = if self.prune {
-            self.in_skip(v, state)
+        if self.prune && self.in_skip(v, state) {
+            self.stats.pruned_symmetry += 1;
         } else {
-            None
-        };
-        match skip_in {
-            Some(true) => self.stats.pruned_symmetry += 1,
-            Some(false) => self.stats.pruned_dominance += 1,
-            None => {
-                state[v] = Decision::In;
-                if self.prune {
-                    let words = self.ps.words;
-                    let base = self.ps.mask_stack.len();
-                    for w in 0..words {
-                        let cur = self.ps.uncovered[w];
-                        self.ps.mask_stack.push(cur);
-                        self.ps.uncovered[w] = cur & !self.ps.cov[v * words + w];
-                    }
-                    self.recurse(state, true);
-                    for w in 0..words {
-                        self.ps.uncovered[w] = self.ps.mask_stack[base + w];
-                    }
-                    self.ps.mask_stack.truncate(base);
-                } else {
-                    self.recurse(state, true);
+            state[v] = Decision::In;
+            if self.prune {
+                let words = self.ps.words;
+                let base = self.ps.mask_stack.len();
+                for w in 0..words {
+                    let cur = self.ps.uncovered[w];
+                    self.ps.mask_stack.push(cur);
+                    self.ps.uncovered[w] = cur & !self.ps.cov[v * words + w];
                 }
+                self.recurse(state, true);
+                for w in 0..words {
+                    self.ps.uncovered[w] = self.ps.mask_stack[base + w];
+                }
+                self.ps.mask_stack.truncate(base);
+            } else {
+                self.recurse(state, true);
             }
         }
         state[v] = Decision::Out;

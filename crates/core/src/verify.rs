@@ -1,11 +1,10 @@
 //! Independent re-verification of a finished [`InsertionResult`].
 //!
-//! The flow's four-layer cache stack (warm witnesses, per-chip
-//! [`crate::solve::ChipSolveState`], the cross-chip
-//! [`crate::solve::RegionMemo`], saturation elision) is proven correct by
-//! parity tests, but a long-running campaign wants a *runtime* check: an
-//! answer that can be re-derived from the raw inputs, with none of the
-//! caches in the loop.  This module is that check.
+//! The flow's fast paths (warm-started witnesses, saturation elision,
+//! pruned search, region fan-out) are proven correct by parity tests, but
+//! a long-running campaign wants a *runtime* check: an answer that can be
+//! re-derived from the raw inputs, with none of the fast paths in the
+//! loop.  This module is that check.
 //!
 //! [`verify_insertion`] re-draws every sampled chip of the insertion and
 //! yield streams through the scalar single-chip path
@@ -467,7 +466,8 @@ mod tests {
         let c = bench_suite::tiny_demo(31);
         let flow = BufferInsertionFlow::builder(&c, cfg()).build().unwrap();
         assert!(flow.verify_enabled());
-        // Sweep two targets so the second run replays warm state.
+        // Sweep two targets so the second run reuses the pooled (warm)
+        // workspaces.
         for k in [0.0, 0.5] {
             let r = flow.run_target(TargetPeriod::SigmaFactor(k));
             let report = r.diagnostics.verify.as_ref().expect("verify ran");
@@ -500,7 +500,7 @@ mod tests {
         assert_eq!(plain, checked);
     }
 
-    // The complementary negative test — `memo.replay.corrupt` injection
+    // The complementary negative test — `solve.outcome.corrupt` injection
     // must make the verifier FAIL — lives in the workspace-level
     // `tests/fault_injection.rs` binary: fault specs are process-global,
     // so they only run in a binary where every test serialises through

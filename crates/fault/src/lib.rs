@@ -27,7 +27,7 @@
 //! A spec is a `;`-separated list of rules, each `site[@cond,cond,...]`:
 //!
 //! ```text
-//! fleet.job.panic@job=7;journal.write.torn@record=12;memo.replay.corrupt@nth=3
+//! fleet.job.panic@job=7;journal.write.torn@record=12;solve.outcome.corrupt@nth=3
 //! ```
 //!
 //! Conditions are `key=value` with `u64` values and must all match the

@@ -7,7 +7,6 @@
 //! psbi-fleet run    --spec campaign.json --journal c.journal
 //!                   [--workers N] [--max-jobs K] [--report out.json]
 //!                   [--with-timings] [--quiet] [--progress]
-//!                   [--no-incremental] [--no-cross-chip]
 //!                   [--no-region-parallel] [--no-search-prune]
 //!                   [--retries N] [--verify] [--trace trace.json]
 //! psbi-fleet report --spec campaign.json --journal c.journal
@@ -101,7 +100,6 @@ fn usage() -> ExitCode {
          \x20 psbi-fleet run    --spec campaign.json --journal c.journal\n\
          \x20                   [--workers N] [--max-jobs K] [--report out.json]\n\
          \x20                   [--with-timings] [--quiet] [--progress]\n\
-         \x20                   [--no-incremental] [--no-cross-chip]\n\
          \x20                   [--no-region-parallel] [--no-search-prune]\n\
          \x20                   [--retries N] [--verify] [--trace trace.json]\n\
          \x20 psbi-fleet report --spec campaign.json --journal c.journal\n\
@@ -226,11 +224,9 @@ fn cmd_run(args: &Args) -> Result<(), FleetError> {
         max_jobs: args.get("max-jobs"),
         // On by default; --quiet silences it, --progress overrides --quiet.
         progress: args.has("progress") || !args.has("quiet"),
-        // Results are bit-identical either way; --no-incremental (like
-        // PSBI_NO_INCREMENTAL=1) and --no-cross-chip (like
-        // PSBI_NO_CROSSCHIP=1) exist for debugging and A/B timing.
-        incremental: !args.has("no-incremental"),
-        cross_chip: !args.has("no-cross-chip"),
+        // Results are bit-identical either way; --no-region-parallel (like
+        // PSBI_NO_REGION_PARALLEL=1) and --no-search-prune (like
+        // PSBI_NO_SEARCH_PRUNE=1) exist for debugging and A/B timing.
         region_parallel: !args.has("no-region-parallel"),
         search_prune: !args.has("no-search-prune"),
         retries: args.get("retries").unwrap_or(2),

@@ -58,28 +58,14 @@ pub struct FleetOptions {
     /// lifecycle.  Canonical outputs are byte-identical with tracing on
     /// or off (`tests/obs.rs` pins this).
     pub trace: Option<PathBuf>,
-    /// Carry incremental solver state across the passes of each job and
-    /// across adjacent sweep targets of one circuit (see
-    /// `psbi_core::solve`).  Results are bit-identical either way — this
-    /// is a performance knob, which is why it lives here and not in the
-    /// fingerprinted [`CampaignSpec`].  `PSBI_NO_INCREMENTAL=1` overrides
-    /// it process-wide.
-    pub incremental: bool,
-    /// Dedup identical region subproblems across chips — and, because
-    /// the memo table is shared per circuit, across the concurrently
-    /// running sweep targets of one circuit's job group (see
-    /// `psbi_core::solve::RegionMemo`).  A memo hit is a verified replay
-    /// of a pure function, so results are bit-identical either way;
-    /// `PSBI_NO_CROSSCHIP=1` overrides it process-wide.
-    pub cross_chip: bool,
     /// Fan each chip's independent region searches out on the flow's
     /// region pool (see `psbi_core::solve::SolveRequest::pool`).  Region
     /// results commit in pinned region order, so results are
     /// bit-identical either way; `PSBI_NO_REGION_PARALLEL=1` overrides
     /// it process-wide.
     pub region_parallel: bool,
-    /// Prune the per-region support search (dominance, symmetry classes,
-    /// bitset covering and cascade bounds — see
+    /// Prune the per-region support search (symmetry classes, bitset
+    /// covering and cascade bounds — see
     /// `psbi_core::solve::SolveRequest::search_prune`).  The shipped
     /// workloads are bit-identical either way, so this is a performance
     /// knob outside the fingerprinted [`CampaignSpec`];
@@ -105,8 +91,6 @@ impl Default for FleetOptions {
             max_jobs: None,
             progress: false,
             trace: None,
-            incremental: true,
-            cross_chip: true,
             region_parallel: true,
             search_prune: true,
             retries: 2,
@@ -129,29 +113,21 @@ pub struct CampaignOutcome {
     /// Per-job wall time in seconds; `None` for jobs that were resumed
     /// from the journal (or not yet run).  Indexed by job.
     pub job_wall_s: Vec<Option<f64>>,
-    /// Per-job incremental-cache counters; `None` for resumed jobs.
-    /// Non-canonical, like [`CampaignOutcome::job_wall_s`]: the counters
-    /// depend on which targets warmed a flow's state arena first, which
-    /// races with worker scheduling — results never do.
+    /// Per-job solver counters; `None` for resumed jobs.  Non-canonical,
+    /// like [`CampaignOutcome::job_wall_s`].
     ///
     /// Jobs **resumed from the journal are `None` by design**: the
     /// journal carries only the canonical byte surface, and these
-    /// counters are quarantined from it (they differ between cache
+    /// counters are quarantined from it (they differ between prune
     /// modes while the results do not), so an interrupted-and-resumed
     /// campaign cannot recover the diagnostics of jobs a previous
     /// process executed.  Aggregations label themselves "executed jobs"
     /// accordingly (`resumed_diagnostics_quarantined` in the runner
     /// tests pins this contract).
     pub job_diagnostics: Vec<Option<psbi_core::flow::FlowDiagnostics>>,
-    /// Peak chip-state slots resident in the shared workspace pool over
-    /// this invocation.  With per-circuit reclamation (arenas and the
-    /// cross-chip memo are freed when a circuit's last sweep target
-    /// commits) this is capped at the concurrently active circuits
-    /// instead of the whole campaign.  Non-canonical.
+    /// Always 0: no per-chip solver state is kept between jobs.  Kept so
+    /// existing readers of the counter still compile.
     pub peak_resident_states: u64,
-    /// Chip-state slots still resident when this invocation returned
-    /// (0 once every circuit's job group completed).  Non-canonical.
-    pub final_resident_states: u64,
     /// Wall time of this invocation.
     pub wall_s: f64,
 }
@@ -268,8 +244,8 @@ pub(crate) fn execute_job(
 /// execution core of the dispatch worker and the dispatcher's inline
 /// fallback, which differ only in where records go (the wire vs the
 /// journal).  Jobs are grouped by circuit; each needed circuit is
-/// materialised once, served by one flow over the shared `pool`, and its
-/// solver state is released when its last batch job finishes.  `emit`'s
+/// materialised once and served by one flow over the shared `pool`.
+/// `emit`'s
 /// second argument is the independent verifier's failure report when
 /// `verify` is set and the re-check failed (non-canonical — it never
 /// reaches the journal); `emit` returning `Ok(false)` stops the batch
@@ -328,7 +304,6 @@ pub(crate) fn execute_batch(
                 break;
             }
         }
-        flow.release_solver_state();
         if stop {
             break;
         }
@@ -413,7 +388,6 @@ pub fn run_campaign(
             job_wall_s,
             job_diagnostics,
             peak_resident_states: 0,
-            final_resident_states: 0,
             wall_s: t_start.elapsed().as_secs_f64(),
         });
     }
@@ -438,8 +412,6 @@ pub fn run_campaign(
         .collect::<Result<_, _>>()?;
     let pool = Arc::new(WorkspacePool::new());
     let mut cfg = spec.flow_config();
-    cfg.incremental = opts.incremental;
-    cfg.cross_chip = opts.cross_chip;
     cfg.region_parallel = opts.region_parallel;
     cfg.search_prune = opts.search_prune;
     cfg.verify = opts.verify;
@@ -456,17 +428,6 @@ pub fn run_campaign(
                 .transpose()
         })
         .collect::<Result<_, _>>()?;
-
-    // Pending jobs per circuit in this invocation's window: the worker
-    // finishing a circuit's last job releases that flow's solver state
-    // (per-chip arenas + cross-chip memo) from the shared pool, capping
-    // campaign peak memory at the circuits still in flight.
-    let mut circuit_pending: Vec<usize> = vec![0; spec.circuits.len()];
-    for job in &jobs[resumed..end] {
-        circuit_pending[job.circuit_index] += 1;
-    }
-    let circuit_pending: Vec<AtomicUsize> =
-        circuit_pending.into_iter().map(AtomicUsize::new).collect();
 
     let pending = end - resumed;
     let workers = match opts.workers {
@@ -533,14 +494,6 @@ pub fn run_campaign(
                     };
                     let wall = t_job.elapsed().as_secs_f64();
                     psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
-                    // Last pending job of this circuit: reclaim the flow's
-                    // warm solver state.  Every `run_target` of the circuit
-                    // has returned by the time the counter hits zero, so the
-                    // release cannot race a park.  Purely a memory knob —
-                    // a resumed invocation simply starts this circuit cold.
-                    if circuit_pending[job.circuit_index].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        flow.release_solver_state();
-                    }
                     let (record, diag) = match executed {
                         Ok(result) => {
                             let record = JobRecord::from_result(job, &result);
@@ -658,8 +611,7 @@ pub fn run_campaign(
         total_jobs: total,
         job_wall_s: state.job_wall_s,
         job_diagnostics: state.job_diagnostics,
-        peak_resident_states: pool.peak_resident_states(),
-        final_resident_states: pool.resident_states(),
+        peak_resident_states: 0,
         wall_s: t_start.elapsed().as_secs_f64(),
     })
 }
@@ -758,46 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reclamation_caps_resident_state_at_active_circuits() {
-        // 2 circuits × 2 targets, 1 worker, circuit-major grid: each
-        // circuit's arenas (2 per flow, `samples` chip slots each) must
-        // be freed when its second target commits, so the pool's peak is
-        // ONE circuit's worth — not the whole campaign's — and nothing
-        // stays resident at the end.
-        let spec = quick_spec();
-        let path = tmp_path("reclaim");
-        let _ = std::fs::remove_file(&path);
-        let outcome = run_campaign(
-            &spec,
-            &path,
-            &FleetOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(outcome.complete());
-        let per_circuit = 2 * spec.samples as u64; // A1 + post-prune arena
-        assert_eq!(
-            outcome.peak_resident_states, per_circuit,
-            "peak must be capped at one in-flight circuit"
-        );
-        assert_eq!(
-            outcome.final_resident_states, 0,
-            "every circuit's state must be reclaimed after its last job"
-        );
-        // The cross-chip memo actually fired while it was alive.
-        let hits: u64 = outcome
-            .job_diagnostics
-            .iter()
-            .flatten()
-            .map(|d| d.total().cross_chip_hits)
-            .sum();
-        assert!(hits > 0, "campaign never hit the cross-chip memo");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn verify_option_is_byte_neutral_and_populates_reports() {
         // --verify must not change a single canonical byte: the verifier
         // only *re-checks* results.  Its reports land in the (in-memory,
@@ -844,8 +756,8 @@ mod tests {
 
     #[test]
     fn resumed_diagnostics_quarantined() {
-        // Solver-cache counters are quarantined from the journal (they
-        // differ between cache modes while the canonical bytes do not),
+        // Solver counters are quarantined from the journal (they differ
+        // between prune modes while the canonical bytes do not),
         // so a resumed invocation CANNOT recover them for jobs a prior
         // process executed: resumed slots stay `None`, executed slots
         // are `Some`, and the aggregate labels itself "executed jobs".

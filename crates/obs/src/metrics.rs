@@ -20,8 +20,8 @@
 //! * **Counter** — monotone `u64`, [`counter_add`].  Counts on
 //!   deterministic code paths (batches filled, chunks mapped, jobs
 //!   committed) are reproducible across worker counts; counts on racy
-//!   paths (memo hit/miss, workspace creation) are not, and are named in
-//!   the README so tests know to exclude them.
+//!   paths (workspace creation) are not, and are named in the README so
+//!   tests know to exclude them.
 //! * **Gauge** — last-write-wins `u64`, [`gauge_set`].
 //! * **Histogram** — count, sum and power-of-two buckets, [`observe`] /
 //!   [`Timer`].  Used for wall-clock nanoseconds (solver stages, flow

@@ -216,15 +216,14 @@ fn commit_crash_poisons_nothing_that_resume_needs() {
 }
 
 #[test]
-fn memo_corruption_is_detected_by_the_verifier() {
-    // Corrupt every cross-chip memo replay: hits return a fabricated
-    // "feasible with zero buffers" outcome.  The independent verifier
-    // re-checks each claimed-feasible chip against the raw constraint
-    // system (no memo, no warm state) and must catch the lie.
-    //
-    // Memo hits come from *cross-target* sharing (the memo is flow-wide,
-    // warmed by earlier sweep targets), so both legs sweep several
-    // targets on one flow — exactly how a fleet job group uses it.
+fn outcome_corruption_is_detected_by_the_verifier() {
+    // Corrupt every region outcome of the concentrate pass (B2, push
+    // objective 2) at commit: each region claims "feasible with zero
+    // tunings".  The independent verifier re-checks each claimed-feasible
+    // chip's tunings against the raw constraint system and must catch
+    // the lie.  (Corrupting every pass instead zeroes A1's usage counts,
+    // the prune then removes every buffer, and the resulting empty
+    // deployment is poor but self-consistent — nothing to catch.)
     use psbi::core::flow::TargetPeriod;
     let circuit = bench_suite::tiny_demo(2);
     let cfg = FlowConfig {
@@ -232,72 +231,51 @@ fn memo_corruption_is_detected_by_the_verifier() {
         yield_samples: 120,
         calibration_samples: 120,
         seed: 42,
-        incremental: false, // passes must consult the memo, not warm state
-        cross_chip: true,
         verify: true,
         ..FlowConfig::default()
     };
-    let targets = [0.0, 2.0];
-
-    let (clean, corrupt) = psbi::fault::with_spec("memo.replay.corrupt", || {
-        let corrupt_flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
+    let run = || {
+        BufferInsertionFlow::builder(&circuit, cfg.clone())
             .build()
-            .expect("flow");
-        let corrupt: Vec<_> = targets
-            .iter()
-            .map(|&k| corrupt_flow.run_target(TargetPeriod::SigmaFactor(k)))
-            .collect();
-        psbi::fault::clear();
-        let clean_flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
-            .build()
-            .expect("flow");
-        let clean: Vec<_> = targets
-            .iter()
-            .map(|&k| clean_flow.run_target(TargetPeriod::SigmaFactor(k)))
-            .collect();
-        (clean, corrupt)
-    });
+            .expect("flow")
+            .run_target(TargetPeriod::SigmaFactor(0.0))
+    };
+    let corrupt = psbi::fault::with_spec("solve.outcome.corrupt@push=2", run);
+    let clean = psbi::fault::with_spec("", run);
 
-    let mut clean_hits = 0;
-    for (i, r) in clean.iter().enumerate() {
-        let report = r.diagnostics.verify.as_ref().expect("verify report");
-        assert!(report.passed, "clean target {i} must verify: {report}");
-        clean_hits += r.diagnostics.total().cross_chip_hits;
-    }
+    let report = clean.diagnostics.verify.as_ref().expect("verify report");
+    assert!(report.passed, "clean run must verify: {report}");
     assert!(
-        clean_hits > 0,
-        "sweep never exercised the memo — the corruption site was dead"
+        clean.diagnostics.total().regions_total > 0,
+        "no region was solved — the corruption site was dead"
     );
 
+    let report = corrupt.diagnostics.verify.as_ref().expect("verify report");
     assert!(
-        corrupt.iter().any(|r| {
-            let report = r.diagnostics.verify.as_ref().expect("verify report");
-            !report.passed && report.mismatches > 0
-        }),
-        "verifier failed to detect injected memo corruption"
+        !report.passed && report.mismatches > 0,
+        "verifier failed to detect injected outcome corruption: {report}"
     );
 }
 
 #[test]
 fn campaign_verify_failure_surfaces_as_exit_class_verify() {
     // Fleet-level wiring of the same detection: a campaign run with
-    // --verify under memo corruption completes (records journaled) and
+    // --verify under outcome corruption completes (records journaled) and
     // then fails with the Verify error class (exit code 9 in the CLI).
     let spec = quick_spec();
     let path = tmp("verify_err");
     let _ = std::fs::remove_file(&path);
-    let err = psbi::fault::with_spec("memo.replay.corrupt", || {
+    let err = psbi::fault::with_spec("solve.outcome.corrupt@push=2", || {
         run_campaign(
             &spec,
             &path,
             &FleetOptions {
                 workers: 2,
-                incremental: false,
                 verify: true,
                 ..FleetOptions::default()
             },
         )
-        .expect_err("corrupted memo must fail verification")
+        .expect_err("corrupted outcomes must fail verification")
     });
     assert!(matches!(err, FleetError::Verify(_)), "got {err}");
     assert_eq!(err.code(), 9);

@@ -12,7 +12,7 @@
 //!    passes, solver stages, fleet job lifecycle) are present.
 //! 3. **Metric determinism** — the deterministic counter/gauge subset is
 //!    identical for any worker count (schedule-dependent counters like
-//!    `solve.memo.*` are deliberately excluded).
+//!    `pool.workspace.created` are deliberately excluded).
 //!
 //! Arming is process-global, so every test serialises through
 //! [`psbi::obs::test_lock`] and arms/disarms manually (the `with_*`
@@ -211,8 +211,8 @@ fn deterministic_counters_and_gauges_are_worker_count_invariant() {
     let eight = snapshot_for(8);
 
     // Deterministic subset: pure functions of (spec, grid), independent
-    // of which worker ran what.  `solve.memo.*` and
-    // `pool.workspace.created` are schedule-dependent and excluded.
+    // of which worker ran what.  `pool.workspace.created` is
+    // schedule-dependent and excluded.
     for counter in [
         "sample.batches",
         "sample.chips",
