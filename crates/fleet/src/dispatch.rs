@@ -4,12 +4,13 @@
 //! campaigns ([`crate::proto::Msg::Submit`]); workers connect, request
 //! work and receive **leases** — contiguous-by-circuit slices of the job
 //! grid with a deadline.  Completed [`crate::JobRecord`]s come back over
-//! the wire (checksummed end to end), pass through the same reorder
-//! buffer the single-process runner uses, and are appended to the same
-//! append-only v2 journal **in job-index order** — which is the whole
-//! determinism argument: every record is a pure function of (spec, job
-//! index), and the journal only ever sees them in grid order, so its
-//! bytes cannot depend on worker count, join/leave order or kill pattern.
+//! the wire (checksummed end to end) and go into the campaign's
+//! [`Ledger`] — the one commit path the single-process runner uses too,
+//! which appends them to the v2 journal **in job-index order**.  That is
+//! the whole determinism argument: every record is a pure function of
+//! (spec, job index), and the journal only ever sees them in grid order,
+//! so its bytes cannot depend on worker count, join/leave order or kill
+//! pattern.
 //!
 //! # Failure model
 //!
@@ -17,9 +18,8 @@
 //!   without a heartbeat (or its connection drops, which expires its
 //!   leases immediately) and the jobs return to the pending set for
 //!   re-dispatch.  If the "dead" worker later returns a result anyway,
-//!   first-committed-wins: a job that is already committed or parked is
-//!   acknowledged and the duplicate discarded — byte-identical either
-//!   way, because both copies are the same pure function of the spec.
+//!   the ledger's first-committed-wins rule acknowledges and discards the
+//!   duplicate.
 //! * **Result torn in transit** — the record line re-checksums on
 //!   receipt; a failure drops the connection and the lease machinery
 //!   takes over.  Nothing half-parsed ever reaches the journal.
@@ -34,17 +34,22 @@
 //!   grid-identity check of the record itself) — a worker surviving the
 //!   restart with cached results for an *old* campaign that shared the
 //!   id can never graft foreign bytes into the new campaign's journal.
+//! * **Commit-window crash** — a panic while the ledger writes a record
+//!   (the `fleet.commit.before_write` failpoint) fails that campaign with
+//!   the worker class (exit 8): it is retired, its leases closed, and a
+//!   re-submission resumes from the journal's valid prefix.
 //! * **No worker ever connects** — after `inline_grace_ms` the
 //!   dispatcher degrades to inline execution in-process (same
-//!   [`crate::runner::execute_batch`] core the workers use), so a
-//!   campaign always completes.
+//!   [`crate::runner::execute_batch`] core the workers use, same ledger),
+//!   so a campaign always completes.
 //!
 //! Campaigns multiplex over one shared [`WorkspacePool`]; leases are
 //! granted round-robin across active campaigns so no submitter starves.
 
 use crate::error::FleetError;
-use crate::journal::{JobRecord, Journal};
-use crate::proto::{read_msg, write_msg, Msg};
+use crate::journal::JobRecord;
+use crate::ledger::Ledger;
+use crate::proto::{env_u64, read_msg, send, write_msg, Msg};
 use crate::runner::execute_batch;
 use crate::spec::{CampaignSpec, JobSpec};
 use psbi_core::flow::WorkspacePool;
@@ -57,13 +62,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Default dispatcher address (`PSBI_DISPATCH_ADDR` overrides).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
@@ -72,7 +70,7 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 /// Like [`crate::FleetOptions`], these are *runtime* knobs: none of them
 /// may change a single canonical byte.  Lease sizes, deadlines and
 /// heartbeat cadence only shuffle which worker computes which pure
-/// function — the reorder buffer erases the difference.
+/// function — the ledger's in-order commit erases the difference.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Listen address (`host:port`; port 0 picks a free port — pair with
@@ -94,8 +92,8 @@ pub struct ServeOptions {
     /// Exit after the first submitted campaign completes (broadcasting
     /// `shutdown` to connected workers).
     pub once: bool,
-    /// Per-campaign progress lines on stderr, driven by the metrics
-    /// registry (a path-less registry is armed if none is).
+    /// Per-campaign progress lines on stderr, read from each campaign's
+    /// ledger and the connection table.
     pub progress: bool,
     /// Write the bound address (one line) here once listening — how
     /// scripts discover a port-0 dispatcher.
@@ -190,7 +188,7 @@ impl LeaseLog {
 
 /// One outstanding lease.  `jobs` holds only the *unreturned* jobs — a
 /// returned job leaves the set immediately, so expiry never re-dispatches
-/// work that already reached the reorder buffer.
+/// work that already reached the ledger.
 struct Lease {
     jobs: BTreeSet<usize>,
     deadline: Instant,
@@ -198,10 +196,9 @@ struct Lease {
     conn: u64,
 }
 
-/// One active campaign: the dispatcher-side mirror of the runner's
-/// `CommitState`, plus the lease bookkeeping.
+/// One active campaign: its ledger plus the lease bookkeeping.
 struct Campaign {
-    spec: CampaignSpec,
+    ledger: Ledger,
     /// Canonical spec text embedded in every lease (identical bytes on
     /// both sides ⇒ identical fingerprint and grid).
     spec_text: String,
@@ -210,54 +207,13 @@ struct Campaign {
     /// campaign that happens to share this campaign's id (ids restart
     /// on dispatcher restart) can never reach the journal.
     fingerprint: String,
-    jobs: Vec<JobSpec>,
-    journal: Journal,
-    journal_path: PathBuf,
     lease_log: LeaseLog,
-    total: usize,
-    /// Next job index to commit (resumed prefix already behind it).
-    next: usize,
-    resumed: usize,
-    /// Completed jobs waiting for their predecessors.
-    parked: BTreeMap<usize, JobRecord>,
-    /// Uncommitted, unparked, unleased job indices.
-    pending: BTreeSet<usize>,
     leases: HashMap<u64, Lease>,
     retries: usize,
     verify: bool,
-    quarantined: u64,
-    verify_failures: Vec<(usize, String)>,
-    /// Campaign-fatal error (journal write failure): exit-code class and
-    /// message for the submitter.
-    failed: Option<(u8, String)>,
 }
 
 impl Campaign {
-    fn done(&self) -> bool {
-        self.next == self.total
-    }
-
-    /// Commits every parked record that has become next-in-line — the
-    /// same reorder-buffer discipline as the single-process runner, which
-    /// is what keeps the journal byte-identical to it.
-    fn drain(&mut self) {
-        while let Some(record) = self.parked.remove(&self.next) {
-            let _span = psbi_obs::Span::enter_with("fleet.commit", &[("job", self.next as u64)]);
-            if let Err(e) = self.journal.append(&record) {
-                self.failed = Some((e.code(), e.to_string()));
-                // Stop granting: pending work is pointless once the
-                // journal cannot take records.
-                self.pending.clear();
-                return;
-            }
-            if record.quarantined {
-                self.quarantined += 1;
-            }
-            psbi_obs::metrics::counter_add("fleet.jobs.committed", 1);
-            self.next += 1;
-        }
-    }
-
     /// Returns a lease's unreturned jobs to the pending set.
     fn expire_lease(&mut self, lease_id: u64, reason: &str) {
         if let Some(lease) = self.leases.remove(&lease_id) {
@@ -267,7 +223,7 @@ impl Campaign {
             );
             psbi_obs::metrics::counter_add("dispatch.leases.expired", 1);
             psbi_obs::metrics::counter_add("dispatch.jobs.redispatched", lease.jobs.len() as u64);
-            self.pending.extend(lease.jobs.iter().copied());
+            self.ledger.release(&lease.jobs);
             self.lease_log.expire(lease_id, reason);
         }
     }
@@ -281,10 +237,10 @@ struct Table {
     /// Round-robin cursor so lease grants rotate across campaigns.
     rr: u64,
     /// Writer halves of connected worker sessions (for the shutdown
-    /// broadcast and to interleave replies line-atomically).
+    /// broadcast and to interleave replies line-atomically); one entry
+    /// per connected worker.
     conns: HashMap<u64, Arc<Mutex<TcpStream>>>,
     next_conn: u64,
-    workers: u64,
     /// Set once any worker has ever said hello (gates inline fallback).
     saw_worker: bool,
     started: Instant,
@@ -304,7 +260,7 @@ fn lock_table(state: &ServeState) -> MutexGuard<'_, Table> {
 }
 
 fn update_gauges(t: &Table) {
-    psbi_obs::metrics::gauge_set("dispatch.workers.connected", t.workers);
+    psbi_obs::metrics::gauge_set("dispatch.workers.connected", t.conns.len() as u64);
     psbi_obs::metrics::gauge_set(
         "dispatch.leases.outstanding",
         t.campaigns.values().map(|c| c.leases.len() as u64).sum(),
@@ -375,9 +331,6 @@ impl Dispatcher {
     /// [`FleetError::Dispatch`] when the address cannot be bound;
     /// [`FleetError::Io`] when the addr file cannot be written.
     pub fn bind(opts: ServeOptions) -> Result<Self, FleetError> {
-        if opts.progress && !psbi_obs::metrics::enabled() {
-            psbi_obs::metrics::arm(None);
-        }
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| FleetError::Dispatch(format!("cannot bind `{}`: {e}", opts.addr)))?;
         let local_addr = listener.local_addr()?;
@@ -393,7 +346,6 @@ impl Dispatcher {
                 rr: 0,
                 conns: HashMap::new(),
                 next_conn: 1,
-                workers: 0,
                 saw_worker: false,
                 started: Instant::now(),
             }),
@@ -489,12 +441,7 @@ fn reaper_loop(state: &Arc<ServeState>) {
         state.wake.notify_all();
         if last_flush.elapsed() >= Duration::from_secs(5) {
             last_flush = Instant::now();
-            if let Err(e) = psbi_obs::trace::flush() {
-                eprintln!("psbi-fleet: serve: trace flush failed: {e}");
-            }
-            if let Err(e) = psbi_obs::metrics::flush() {
-                eprintln!("psbi-fleet: serve: metrics flush failed: {e}");
-            }
+            psbi_obs::flush_all();
         }
     }
 }
@@ -502,7 +449,7 @@ fn reaper_loop(state: &Arc<ServeState>) {
 /// Inline degradation: when no worker is connected (and none has been
 /// seen since `inline_grace_ms`), the dispatcher claims leases itself and
 /// executes them in-process over the shared pool — same `execute_batch`
-/// core, same commit path, so a worker-less serve is just a slow fleet.
+/// core, same ledger, so a worker-less serve is just a slow fleet.
 fn inline_loop(state: &Arc<ServeState>) {
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
@@ -510,28 +457,29 @@ fn inline_loop(state: &Arc<ServeState>) {
         }
         std::thread::sleep(Duration::from_millis(40));
         let grace = Duration::from_millis(state.opts.inline_grace_ms);
-        let claim = {
+        let (lease_id, campaign_id, spec, jobs, retries, verify) = {
             let mut t = lock_table(state);
-            if t.workers > 0 || t.saw_worker || t.started.elapsed() < grace {
+            if t.saw_worker || t.started.elapsed() < grace {
                 // Workers own the grid (or may still show up).  After a
                 // worker has ever connected, recovery is the lease
                 // machinery's job — re-dispatch, not inline takeover.
                 continue;
             }
-            grant_lease(&mut t, 0, state.opts.lease_ms, state.opts.lease_jobs)
-        };
-        let Some((lease_id, campaign_id, _spec_text, job_ids, retries, verify)) = claim else {
-            continue;
-        };
-        let (spec, jobs) = {
-            let t = lock_table(state);
-            let Some(c) = t.campaigns.get(&campaign_id) else {
+            let Some((lease_id, campaign_id)) =
+                grant_lease(&mut t, 0, state.opts.lease_ms, state.opts.lease_jobs)
+            else {
                 continue;
             };
-            let jobs: Vec<JobSpec> = job_ids.iter().map(|&j| c.jobs[j].clone()).collect();
-            (c.spec.clone(), jobs)
+            let c = &t.campaigns[&campaign_id];
+            let jobs: Vec<JobSpec> = c.leases[&lease_id]
+                .jobs
+                .iter()
+                .map(|&j| c.ledger.job(j).clone())
+                .collect();
+            let spec = c.ledger.spec().clone();
+            (lease_id, campaign_id, spec, jobs, c.retries, c.verify)
         };
-        psbi_obs::metrics::counter_add("dispatch.jobs.inline", job_ids.len() as u64);
+        psbi_obs::metrics::counter_add("dispatch.jobs.inline", jobs.len() as u64);
         let state2 = Arc::clone(state);
         let mut emit =
             |record: JobRecord, verify_failed: Option<String>| -> Result<bool, FleetError> {
@@ -545,10 +493,9 @@ fn inline_loop(state: &Arc<ServeState>) {
                 if let Some(lease) = c.leases.get_mut(&lease_id) {
                     lease.deadline = Instant::now() + Duration::from_millis(state2.opts.lease_ms);
                 }
-                let keep_going = c.failed.is_none();
-                accept_record(c, lease_id, record, verify_failed);
+                accept_record(c, record, verify_failed)?;
                 state2.wake.notify_all();
-                Ok(keep_going && !state2.shutdown.load(Ordering::SeqCst))
+                Ok(!c.ledger.failed() && !state2.shutdown.load(Ordering::SeqCst))
             };
         let batch = execute_batch(&spec, &jobs, &state.pool, retries, verify, &mut emit);
         let mut t = lock_table(state);
@@ -557,11 +504,10 @@ fn inline_loop(state: &Arc<ServeState>) {
                 // Inline execution failing to even build the flow is
                 // campaign-fatal (a worker would hit the same wall —
                 // the spec names an unbuildable circuit).
-                c.failed.get_or_insert((e.code(), e.to_string()));
-                c.pending.clear();
+                c.ledger.fail(e);
             }
             if let Some(lease) = c.leases.remove(&lease_id) {
-                c.pending.extend(lease.jobs.iter().copied());
+                c.ledger.release(&lease.jobs);
                 c.lease_log.done(lease_id);
             }
         }
@@ -571,23 +517,21 @@ fn inline_loop(state: &Arc<ServeState>) {
     }
 }
 
-/// Per-campaign progress lines: aggregate load from the metrics registry
-/// gauges, per-campaign counts from the table.
+/// Per-campaign progress lines: counts from each campaign's ledger, the
+/// connected-worker count from the table.
 fn progress_loop(state: &Arc<ServeState>) {
     while !state.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(500));
-        let snap = psbi_obs::metrics::snapshot();
-        let workers = snap.gauge("dispatch.workers.connected").unwrap_or(0);
         let t = lock_table(state);
         for (id, c) in &t.campaigns {
             eprintln!(
                 "psbi-fleet: serve: campaign {id} `{}` {}/{} committed \
                  ({} quarantined), {} worker(s), {} lease(s) outstanding",
-                c.spec.name,
-                c.next,
-                c.total,
-                c.quarantined,
-                workers,
+                c.ledger.spec().name,
+                c.ledger.committed(),
+                c.ledger.total(),
+                c.ledger.quarantined(),
+                t.conns.len(),
                 c.leases.len()
             );
         }
@@ -596,20 +540,13 @@ fn progress_loop(state: &Arc<ServeState>) {
 
 /// Grants one lease to `conn` (0 = inline): the lowest pending job's
 /// circuit, up to `lease_jobs` of its pending jobs (0 = all of them),
-/// rotating round-robin across active campaigns.  Returns the lease id,
-/// campaign id, spec text, job indices and the campaign's retry/verify
-/// settings.
-#[allow(clippy::type_complexity)]
-fn grant_lease(
-    t: &mut Table,
-    conn: u64,
-    lease_ms: u64,
-    lease_jobs: usize,
-) -> Option<(u64, u64, String, Vec<usize>, usize, bool)> {
+/// rotating round-robin across active campaigns.  Returns the lease id
+/// and campaign id.
+fn grant_lease(t: &mut Table, conn: u64, lease_ms: u64, lease_jobs: usize) -> Option<(u64, u64)> {
     let ids: Vec<u64> = t
         .campaigns
         .iter()
-        .filter(|(_, c)| c.failed.is_none() && !c.pending.is_empty())
+        .filter(|(_, c)| c.ledger.pending().next().is_some())
         .map(|(id, _)| *id)
         .collect();
     if ids.is_empty() {
@@ -624,24 +561,12 @@ fn grant_lease(
         "dispatch.lease",
         &[("lease", lease_id), ("campaign", picked)],
     );
-    let first = *c.pending.iter().next()?;
-    let circuit = c.jobs[first].circuit_index;
     let cap = if lease_jobs == 0 {
         usize::MAX
     } else {
         lease_jobs
     };
-    let jobs: BTreeSet<usize> = c
-        .pending
-        .iter()
-        .copied()
-        .filter(|&j| c.jobs[j].circuit_index == circuit)
-        .take(cap)
-        .collect();
-    for j in &jobs {
-        c.pending.remove(j);
-    }
-    let job_list: Vec<usize> = jobs.iter().copied().collect();
+    let jobs = c.ledger.claim(cap, true);
     c.lease_log.grant(lease_id, conn, &jobs);
     c.leases.insert(
         lease_id,
@@ -652,34 +577,32 @@ fn grant_lease(
         },
     );
     psbi_obs::metrics::counter_add("dispatch.leases.granted", 1);
-    let grant = (
-        lease_id,
-        picked,
-        c.spec_text.clone(),
-        job_list,
-        c.retries,
-        c.verify,
-    );
     update_gauges(t);
-    Some(grant)
+    Some((lease_id, picked))
 }
 
-/// Feeds one verified record into a campaign's reorder buffer.  A job
-/// already committed or parked is a duplicate (first-committed-wins) and
-/// is discarded; everything else is accepted, whether it arrives under a
+/// Feeds one result into a campaign's ledger, whether it arrives under a
 /// live lease, a stale lease or no lease at all (a "late" result from a
 /// worker whose lease expired is still a perfectly good pure-function
-/// result).
+/// result), and releases the job from whichever lease holds it.
+///
+/// # Errors
+///
+/// The ledger's grid-identity refusal; nothing is released then.
 fn accept_record(
     c: &mut Campaign,
-    lease_id: u64,
     record: JobRecord,
     verify_failed: Option<String>,
-) {
+) -> Result<(), FleetError> {
     let job = record.job;
+    let outcome = match c.ledger.accept(record, verify_failed)? {
+        true => "dispatch.results.accepted",
+        false => "dispatch.results.duplicate",
+    };
+    psbi_obs::metrics::counter_add(outcome, 1);
     // Whichever lease currently holds the job releases it — including a
     // *different* lease after a re-dispatch, whose worker's eventual copy
-    // then lands in the duplicate path below.
+    // then lands in the ledger as a duplicate.
     let mut emptied = None;
     for (&id, lease) in c.leases.iter_mut() {
         if lease.jobs.remove(&job) && lease.jobs.is_empty() {
@@ -690,19 +613,7 @@ fn accept_record(
         c.leases.remove(&id);
         c.lease_log.done(id);
     }
-    let duplicate = job < c.next || c.parked.contains_key(&job);
-    if duplicate {
-        psbi_obs::metrics::counter_add("dispatch.results.duplicate", 1);
-        return;
-    }
-    c.pending.remove(&job);
-    if let Some(report) = verify_failed {
-        c.verify_failures.push((job, report));
-    }
-    psbi_obs::metrics::counter_add("dispatch.results.accepted", 1);
-    let _ = lease_id; // correlation is by job index; the lease id is diagnostics
-    c.parked.insert(job, record);
-    c.drain();
+    Ok(())
 }
 
 /// Dispatches one accepted connection by its first message.
@@ -725,33 +636,30 @@ fn handle_conn(state: &Arc<ServeState>, stream: TcpStream) -> Result<(), FleetEr
     }
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Msg) -> Result<(), FleetError> {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_msg(&mut *w, msg).map_err(FleetError::Io)
-}
-
-/// Admits a campaign (queueing behind `max_campaigns`) and returns its id.
+/// Admits a campaign (queueing behind `max_campaigns`) and returns its id,
+/// grid size and resumed-record count.
 fn admit_campaign(
     state: &Arc<ServeState>,
     spec_text: &str,
     journal_path: &str,
     retries: usize,
     verify: bool,
-) -> Result<u64, FleetError> {
+) -> Result<(u64, usize, usize), FleetError> {
     let spec = CampaignSpec::from_json(spec_text)?;
     spec.validate()?;
     // Re-render: leases must carry the *canonical* spec bytes so worker
     // and dispatcher compute identical fingerprints and grids.
     let spec_text = spec.to_json();
-    let jobs = spec.jobs();
-    let total = jobs.len();
     let path = PathBuf::from(journal_path);
     let mut t = lock_table(state);
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return Err(FleetError::Dispatch("dispatcher is shutting down".into()));
         }
-        if t.campaigns.values().any(|c| c.journal_path == path) {
+        if t.campaigns
+            .values()
+            .any(|c| c.ledger.journal_path() == path)
+        {
             return Err(FleetError::Dispatch(format!(
                 "a campaign is already active on journal `{journal_path}`"
             )));
@@ -765,9 +673,7 @@ fn admit_campaign(
             .unwrap_or_else(PoisonError::into_inner);
         t = guard;
     }
-    let (journal, existing) = Journal::open(&path, &spec)?;
-    let resumed = existing.len();
-    let quarantined = existing.iter().filter(|r| r.quarantined).count() as u64;
+    let ledger = Ledger::open(&spec, &path, None)?;
     let (lease_log, orphans, max_lease) =
         LeaseLog::open(&PathBuf::from(format!("{}.leases", path.display())))?;
     if orphans > 0 {
@@ -780,40 +686,33 @@ fn admit_campaign(
     t.next_lease = t.next_lease.max(max_lease + 1);
     let id = t.next_campaign;
     t.next_campaign += 1;
+    let admitted = (id, ledger.total(), ledger.resumed());
     t.campaigns.insert(
         id,
         Campaign {
-            fingerprint: spec.fingerprint(),
-            spec,
+            ledger,
             spec_text,
-            jobs,
-            journal,
-            journal_path: path,
+            fingerprint: spec.fingerprint(),
             lease_log,
-            total,
-            next: resumed,
-            resumed,
-            parked: BTreeMap::new(),
-            pending: (resumed..total).collect(),
             leases: HashMap::new(),
             retries,
             verify,
-            quarantined,
-            verify_failures: Vec::new(),
-            failed: None,
         },
     );
     psbi_obs::metrics::counter_add("dispatch.campaigns.submitted", 1);
     update_gauges(&t);
     drop(t);
     state.wake.notify_all();
-    Ok(id)
+    Ok(admitted)
 }
 
-/// What the submit loop observed a campaign end as.
-enum CampaignEnd {
-    Done { committed: usize, quarantined: u64 },
-    Failed { code: u8, message: String },
+/// The terminal `error` reply for `e`: its class code plus the text
+/// [`crate::worker`]'s submitter rebuilds the same class from.
+fn error_msg(e: &FleetError) -> Msg {
+    Msg::Error {
+        code: e.code(),
+        message: e.detail(),
+    }
 }
 
 /// Serves one submitter: admit, stream progress, report the end state,
@@ -826,23 +725,13 @@ fn handle_submitter(
     retries: usize,
     verify: bool,
 ) -> Result<(), FleetError> {
-    let id = match admit_campaign(state, spec_text, journal_path, retries, verify) {
-        Ok(id) => id,
+    let (id, total, resumed) = match admit_campaign(state, spec_text, journal_path, retries, verify)
+    {
+        Ok(admitted) => admitted,
         Err(e) => {
-            let _ = send(
-                writer,
-                &Msg::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-            );
+            let _ = send(writer, &error_msg(&e));
             return Err(e);
         }
-    };
-    let (total, resumed) = {
-        let t = lock_table(state);
-        let c = &t.campaigns[&id];
-        (c.total, c.resumed)
     };
     let _span = psbi_obs::Span::enter_with(
         "dispatch.campaign",
@@ -860,44 +749,13 @@ fn handle_submitter(
     )
     .is_ok();
     let mut last_progress = (resumed, Instant::now());
-    let end = loop {
-        let mut t = lock_table(state);
-        let table = &mut *t;
-        let c = table
-            .campaigns
-            .get_mut(&id)
-            .expect("only this thread retires the campaign");
-        if let Some((code, message)) = c.failed.clone() {
-            // Outstanding leases are expired (`campaign-failed`) during
-            // retirement below, so the advisory lease log closes every
-            // grant; a late result for the retired campaign is acked as
-            // a duplicate.
-            break CampaignEnd::Failed { code, message };
+    loop {
+        let t = lock_table(state);
+        let c = &t.campaigns[&id]; // only this thread retires the campaign
+        if c.ledger.failed() || c.ledger.is_done() {
+            break;
         }
-        if c.done() {
-            break if c.verify_failures.is_empty() {
-                CampaignEnd::Done {
-                    committed: c.next,
-                    quarantined: c.quarantined,
-                }
-            } else {
-                let detail: Vec<String> = c
-                    .verify_failures
-                    .iter()
-                    .map(|(job, report)| format!("job {job}: {report}"))
-                    .collect();
-                CampaignEnd::Failed {
-                    code: 9,
-                    message: format!(
-                        "{} of {} job(s) failed independent verification — {}",
-                        c.verify_failures.len(),
-                        c.total,
-                        detail.join("; ")
-                    ),
-                }
-            };
-        }
-        let progress = (c.next, c.quarantined, table.workers);
+        let progress = (c.ledger.committed(), c.ledger.quarantined(), t.conns.len());
         drop(
             state
                 .wake
@@ -916,62 +774,45 @@ fn handle_submitter(
                     committed: progress.0,
                     total,
                     quarantined: progress.1,
-                    workers: progress.2,
+                    workers: progress.2 as u64,
                 },
             )
             .is_ok();
         }
-    };
-    // Retire: close out whatever leases are still outstanding (a failed
-    // campaign abandons them; a completed one has none) so the advisory
-    // lease log matches reality — a grant left open here would read as
-    // a crash orphan on the journal's next open — then drop the journal
-    // handle (and its advisory lock) before announcing the result, so a
-    // submitter chaining a `report` or a follow-up campaign never races
-    // the lock.
-    {
-        let mut t = lock_table(state);
-        if let Some(c) = t.campaigns.get_mut(&id) {
-            let reason = match &end {
-                CampaignEnd::Done { .. } => "campaign-done",
-                CampaignEnd::Failed { .. } => "campaign-failed",
-            };
-            for lid in c.leases.keys().copied().collect::<Vec<u64>>() {
-                c.expire_lease(lid, reason);
-            }
-        }
-        t.campaigns.remove(&id);
-        update_gauges(&t);
     }
+    // Retire: close out whatever leases are still outstanding (a failed
+    // campaign abandons them) so the advisory lease log shows no crash
+    // orphans, then finish the ledger, which drops the journal handle and
+    // its lock before the result is announced — a submitter chaining a
+    // `report` never races the lock.  Late results are acked as duplicates.
+    let reply = {
+        let mut t = lock_table(state);
+        let mut c = t
+            .campaigns
+            .remove(&id)
+            .expect("only this thread retires the campaign");
+        let reason = if c.ledger.failed() {
+            "campaign-failed"
+        } else {
+            "campaign-done"
+        };
+        for lid in c.leases.keys().copied().collect::<Vec<u64>>() {
+            c.expire_lease(lid, reason);
+        }
+        update_gauges(&t);
+        let done = Msg::Done {
+            campaign: id,
+            committed: c.ledger.committed(),
+            quarantined: c.ledger.quarantined(),
+        };
+        c.ledger.finish().map(|_| done)
+    };
     state.wake.notify_all();
-    match &end {
-        CampaignEnd::Done {
-            committed,
-            quarantined,
-        } => {
-            psbi_obs::metrics::counter_add("dispatch.campaigns.completed", 1);
-            if submitter_alive {
-                let _ = send(
-                    writer,
-                    &Msg::Done {
-                        campaign: id,
-                        committed: *committed,
-                        quarantined: *quarantined,
-                    },
-                );
-            }
-        }
-        CampaignEnd::Failed { code, message } => {
-            if submitter_alive {
-                let _ = send(
-                    writer,
-                    &Msg::Error {
-                        code: *code,
-                        message: message.clone(),
-                    },
-                );
-            }
-        }
+    if reply.is_ok() {
+        psbi_obs::metrics::counter_add("dispatch.campaigns.completed", 1);
+    }
+    if submitter_alive {
+        let _ = send(writer, &reply.unwrap_or_else(|e| error_msg(&e)));
     }
     if state.opts.once {
         initiate_shutdown(state);
@@ -992,7 +833,6 @@ fn handle_worker(
         let mut t = lock_table(state);
         let id = t.next_conn;
         t.next_conn += 1;
-        t.workers += 1;
         t.saw_worker = true;
         t.conns.insert(id, Arc::clone(writer));
         update_gauges(&t);
@@ -1008,20 +848,15 @@ fn handle_worker(
         )));
     let outcome = worker_session(state, reader, writer, conn_id);
     let mut t = lock_table(state);
-    t.workers -= 1;
     t.conns.remove(&conn_id);
-    let held: Vec<(u64, u64)> = t
-        .campaigns
-        .iter()
-        .flat_map(|(cid, c)| {
-            c.leases
-                .iter()
-                .filter(|(_, lease)| lease.conn == conn_id)
-                .map(|(lid, _)| (*cid, *lid))
-        })
-        .collect();
-    for (cid, lid) in held {
-        if let Some(c) = t.campaigns.get_mut(&cid) {
+    for c in t.campaigns.values_mut() {
+        let held: Vec<u64> = c
+            .leases
+            .iter()
+            .filter(|(_, lease)| lease.conn == conn_id)
+            .map(|(lid, _)| *lid)
+            .collect();
+        for lid in held {
             c.expire_lease(lid, "conn-closed");
         }
     }
@@ -1041,10 +876,8 @@ fn worker_session(
     conn_id: u64,
 ) -> Result<(), FleetError> {
     loop {
-        let msg = match read_msg(reader) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(e),
+        let Some(msg) = read_msg(reader)? else {
+            return Ok(());
         };
         match msg {
             Msg::Request => {
@@ -1052,26 +885,25 @@ fn worker_session(
                     send(writer, &Msg::Shutdown)?;
                     return Ok(());
                 }
-                let grant = {
+                let reply = {
                     let mut t = lock_table(state);
-                    grant_lease(&mut t, conn_id, state.opts.lease_ms, state.opts.lease_jobs)
-                };
-                match grant {
-                    Some((lease, campaign, spec, jobs, retries, verify)) => send(
-                        writer,
-                        &Msg::Lease {
+                    let grant =
+                        grant_lease(&mut t, conn_id, state.opts.lease_ms, state.opts.lease_jobs);
+                    grant.map_or(Msg::Wait { ms: 200 }, |(lease, campaign)| {
+                        let c = &t.campaigns[&campaign];
+                        Msg::Lease {
                             lease,
                             campaign,
-                            spec,
-                            jobs,
+                            spec: c.spec_text.clone(),
+                            jobs: c.leases[&lease].jobs.iter().copied().collect(),
                             deadline_ms: state.opts.lease_ms,
                             heartbeat_ms: state.opts.heartbeat_ms,
-                            retries,
-                            verify,
-                        },
-                    )?,
-                    None => send(writer, &Msg::Wait { ms: 200 })?,
-                }
+                            retries: c.retries,
+                            verify: c.verify,
+                        }
+                    })
+                };
+                send(writer, &reply)?;
             }
             Msg::Heartbeat { lease } => {
                 let _span = psbi_obs::Span::enter_with("dispatch.heartbeat", &[("lease", lease)]);
@@ -1092,7 +924,8 @@ fn worker_session(
                 }
             }
             Msg::Result {
-                lease,
+                // Correlation is by job index; the lease id is diagnostics.
+                lease: _,
                 campaign,
                 fingerprint,
                 record,
@@ -1127,8 +960,8 @@ fn worker_session(
                         // campaign's spec, its job index) it claims to
                         // be.  A fingerprint mismatch means the worker
                         // computed it for a *different* campaign that
-                        // shared the id across a dispatcher restart;
-                        // the grid-identity check catches the same
+                        // shared the id across a dispatcher restart; the
+                        // ledger's grid-identity check catches the same
                         // confusion from a worker that never learned
                         // fingerprints.  Either way the bytes are
                         // foreign: drop the connection (no ack) and let
@@ -1140,31 +973,11 @@ fn worker_session(
                                 c.fingerprint
                             )));
                         }
-                        if job >= c.total {
-                            return Err(FleetError::Dispatch(format!(
-                                "result names job {job} outside the {}-job grid",
-                                c.total
-                            )));
-                        }
-                        let expected = &c.jobs[job];
-                        if parsed.circuit_id != expected.circuit.id()
-                            || parsed.sigma_factor.to_bits() != expected.sigma_factor.to_bits()
-                        {
-                            return Err(FleetError::Dispatch(format!(
-                                "record for job {job} does not match the campaign grid \
-                                 (circuit `{}` σ {}, expected `{}` σ {})",
-                                parsed.circuit_id,
-                                parsed.sigma_factor,
-                                expected.circuit.id(),
-                                expected.sigma_factor
-                            )));
-                        }
                         accept_record(
                             c,
-                            lease,
                             parsed,
                             (!verify_failed.is_empty()).then_some(verify_failed),
-                        );
+                        )?;
                     } else {
                         // Campaign already retired (completed while this
                         // result was in flight): the record is a
@@ -1221,75 +1034,65 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A campaign over `spec`'s grid with a fresh journal and lease log.
+    fn campaign(spec: &CampaignSpec, journal_path: &Path, lease_path: &Path) -> Campaign {
+        for p in [journal_path, lease_path] {
+            let _ = std::fs::remove_file(p);
+        }
+        let (lease_log, _, _) = LeaseLog::open(lease_path).unwrap();
+        Campaign {
+            ledger: Ledger::open(spec, journal_path, None).unwrap(),
+            spec_text: spec.to_json(),
+            fingerprint: spec.fingerprint(),
+            lease_log,
+            leases: HashMap::new(),
+            retries: 0,
+            verify: false,
+        }
+    }
+
     #[test]
     fn duplicate_and_late_results_discard_deterministically() {
         let spec = CampaignSpec::example();
         let jobs = spec.jobs();
-        let total = jobs.len();
         let journal_path = tmp("dup.journal");
         let lease_path = tmp("dup.journal.leases");
-        for p in [&journal_path, &lease_path] {
-            let _ = std::fs::remove_file(p);
-        }
-        let (journal, _) = Journal::open(&journal_path, &spec).unwrap();
-        let (lease_log, _, _) = LeaseLog::open(&lease_path).unwrap();
-        let mut c = Campaign {
-            spec_text: spec.to_json(),
-            fingerprint: spec.fingerprint(),
-            jobs: jobs.clone(),
-            spec,
-            journal,
-            journal_path: journal_path.clone(),
-            lease_log,
-            total,
-            next: 0,
-            resumed: 0,
-            parked: BTreeMap::new(),
-            pending: (0..total).collect(),
-            leases: HashMap::new(),
-            retries: 0,
-            verify: false,
-            quarantined: 0,
-            verify_failures: Vec::new(),
-            failed: None,
-        };
+        let mut c = campaign(&spec, &journal_path, &lease_path);
         let rec = |j: usize| JobRecord::quarantined(&jobs[j], "test".into());
 
         // Out-of-order arrival parks; in-order commits and drains.
-        c.pending.remove(&1);
-        accept_record(&mut c, 1, rec(1), None);
-        assert_eq!(c.next, 0);
-        assert_eq!(c.parked.len(), 1);
-        c.pending.remove(&0);
-        accept_record(&mut c, 2, rec(0), None);
-        assert_eq!(c.next, 2);
-        assert!(c.parked.is_empty());
+        accept_record(&mut c, rec(1), None).unwrap();
+        assert_eq!(c.ledger.committed(), 0);
+        assert_eq!(c.ledger.parked(), 1);
+        accept_record(&mut c, rec(0), None).unwrap();
+        assert_eq!(c.ledger.committed(), 2);
+        assert_eq!(c.ledger.parked(), 0);
 
         // A duplicate of a committed job is discarded, not re-journaled.
         let bytes_before = std::fs::read(&journal_path).unwrap();
-        accept_record(&mut c, 3, rec(0), None);
-        assert_eq!(c.next, 2);
+        accept_record(&mut c, rec(0), None).unwrap();
+        assert_eq!(c.ledger.committed(), 2);
         assert_eq!(std::fs::read(&journal_path).unwrap(), bytes_before);
 
         // A "late" result with no live lease is accepted if uncommitted.
-        c.pending.remove(&2);
-        accept_record(&mut c, 0, rec(2), None);
-        assert_eq!(c.next, 3);
+        accept_record(&mut c, rec(2), None).unwrap();
+        assert_eq!(c.ledger.committed(), 3);
 
         // A result releases its job from whatever lease holds it, and an
         // emptied lease retires.
+        let leased = c.ledger.claim(usize::MAX, false);
+        assert_eq!(leased, BTreeSet::from([3]));
         c.leases.insert(
             9,
             Lease {
-                jobs: BTreeSet::from([3]),
+                jobs: leased,
                 deadline: Instant::now(),
                 conn: 1,
             },
         );
-        c.pending.remove(&3);
-        accept_record(&mut c, 9, rec(3), None);
+        accept_record(&mut c, rec(3), None).unwrap();
         assert!(c.leases.is_empty());
-        assert!(c.done());
+        assert!(c.ledger.is_done());
         for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
@@ -1301,32 +1104,10 @@ mod tests {
         let jobs = spec.jobs();
         let journal_path = tmp("exp.journal");
         let lease_path = tmp("exp.journal.leases");
-        for p in [&journal_path, &lease_path] {
-            let _ = std::fs::remove_file(p);
-        }
-        let (journal, _) = Journal::open(&journal_path, &spec).unwrap();
-        let (lease_log, _, _) = LeaseLog::open(&lease_path).unwrap();
-        let total = jobs.len();
-        let mut c = Campaign {
-            spec_text: spec.to_json(),
-            fingerprint: spec.fingerprint(),
-            jobs: jobs.clone(),
-            spec,
-            journal,
-            journal_path,
-            lease_log,
-            total,
-            next: 0,
-            resumed: 0,
-            parked: BTreeMap::new(),
-            pending: BTreeSet::new(),
-            leases: HashMap::new(),
-            retries: 0,
-            verify: false,
-            quarantined: 0,
-            verify_failures: Vec::new(),
-            failed: None,
-        };
+        let mut c = campaign(&spec, &journal_path, &lease_path);
+        // Every job is out on some lease; lease 5 holds jobs 0 and 1.
+        let all = c.ledger.claim(usize::MAX, false);
+        assert_eq!(all.len(), jobs.len());
         c.leases.insert(
             5,
             Lease {
@@ -1336,19 +1117,13 @@ mod tests {
             },
         );
         // Job 0 came back before the lease expired.
-        accept_record(
-            &mut c,
-            5,
-            JobRecord::quarantined(&jobs[0], "t".into()),
-            None,
-        );
+        accept_record(&mut c, JobRecord::quarantined(&jobs[0], "t".into()), None).unwrap();
         c.expire_lease(5, "deadline");
         // Only job 1 is re-dispatched; job 0 is committed.
-        assert_eq!(c.pending, BTreeSet::from([1]));
-        assert_eq!(c.next, 1);
-        let lease_file = tmp("exp.journal.leases");
-        let journal_file = tmp("exp.journal");
-        for p in [&lease_file, &journal_file] {
+        let pending: BTreeSet<usize> = c.ledger.pending().map(|job| job.index).collect();
+        assert_eq!(pending, BTreeSet::from([1]));
+        assert_eq!(c.ledger.committed(), 1);
+        for p in [&journal_path, &lease_path] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -52,6 +52,23 @@ impl FleetError {
             FleetError::Dispatch(_) => 10,
         }
     }
+
+    /// The message without its class prefix: the text a dispatcher sends
+    /// in an `error` reply, from which the submitter rebuilds an error of
+    /// the same class that displays exactly like this one.
+    pub(crate) fn detail(&self) -> String {
+        match self {
+            FleetError::Spec(m)
+            | FleetError::Journal(m)
+            | FleetError::Circuit(m)
+            | FleetError::Worker(m)
+            | FleetError::Verify(m)
+            | FleetError::Dispatch(m) => m.clone(),
+            FleetError::Io(e) => e.to_string(),
+            // The rebuilt error cannot carry the record index separately.
+            FleetError::Corrupt { .. } => self.to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for FleetError {

@@ -13,15 +13,16 @@
 //!   identified by their global grid index, the same
 //!   seed-by-global-index discipline the flow applies to sample chunks.
 //! * **Sharded execution** ([`runner::run_campaign`]): a persistent worker
-//!   pool claims jobs work-stealing style; one flow per circuit serves the
+//!   pool claims jobs one at a time; one flow per circuit serves the
 //!   whole sigma sweep (timing graph and µT/σT calibration built once) and
 //!   every flow shares one [`psbi_core::flow::WorkspacePool`].
-//! * **Checkpoint/resume** ([`journal::Journal`]): each completed job is
-//!   committed to an append-only journal *in job order* (a reorder buffer
-//!   holds early finishers back).  A killed campaign resumes from the
-//!   journal's valid prefix — re-running only the missing jobs — and the
-//!   resumed journal and report are **byte-identical** to an uninterrupted
-//!   run at any worker count (`tests/fleet_determinism.rs` pins this).
+//! * **Checkpoint/resume** ([`journal::Journal`]): one campaign ledger,
+//!   shared by every executor, commits each completed job to an
+//!   append-only journal *in job order*, holding early finishers back.  A
+//!   killed campaign resumes from the journal's valid prefix — re-running
+//!   only the missing jobs — and the resumed journal and report are
+//!   **byte-identical** to an uninterrupted run at any worker count
+//!   (`tests/fleet_determinism.rs` pins this).
 //! * **Aggregated reporting** ([`report::CampaignReport`]): per-circuit /
 //!   per-k yield, buffer-count, area and wall-time tables, in
 //!   human-readable and JSON form; wall times are quarantined in a
@@ -31,9 +32,9 @@
 //!   long-running `psbi-fleet serve` dispatcher partitions the job grid
 //!   into deadline-carrying **leases** executed by `psbi-fleet worker`
 //!   processes over a line-delimited JSON TCP protocol, merging results
-//!   through the same reorder buffer into the same journal — byte-identical
-//!   to a single-process run for any worker count, join/leave order or
-//!   kill pattern (`crates/fleet/tests/dispatch_determinism.rs` pins this).
+//!   through the same ledger into the same journal — byte-identical to a
+//!   single-process run for any worker count, join/leave order or kill
+//!   pattern (`crates/fleet/tests/dispatch_determinism.rs` pins this).
 //!
 //! The `psbi-fleet` binary wraps all of it:
 //!
@@ -69,6 +70,7 @@ pub mod dispatch;
 pub mod error;
 pub mod journal;
 pub mod json;
+mod ledger;
 pub mod proto;
 pub mod report;
 pub mod runner;

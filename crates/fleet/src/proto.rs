@@ -24,6 +24,22 @@
 use crate::error::FleetError;
 use crate::json::{escape, Json};
 use std::io::BufRead;
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// A numeric `PSBI_DISPATCH_*` setting, or `default` when unset or unparsable.
+pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Writes one message; the shared writer's lock keeps each line atomic.
+pub(crate) fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Msg) -> Result<(), FleetError> {
+    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+    write_msg(&mut *w, msg).map_err(FleetError::Io)
+}
 
 /// One protocol message (see the module docs for framing).
 #[derive(Debug, Clone, PartialEq)]

@@ -1,38 +1,45 @@
-//! The sharded campaign executor.
+//! The in-process campaign executor.
 //!
-//! Jobs are claimed work-stealing style — a shared atomic cursor over the
-//! grid, idle workers taking the next unclaimed index — exactly the
-//! fixed-chunk discipline `psbi_core::flow` uses for sample chunks, lifted
-//! one level up.  Determinism comes from three ingredients:
+//! Worker threads claim jobs one at a time from the campaign's
+//! [`Ledger`] — lowest pending index first, the fixed-chunk discipline
+//! `psbi_core::flow` uses for sample chunks, lifted one level up — and
+//! hand every finished record back to it.  Determinism comes from three
+//! ingredients:
 //!
 //! 1. every job's result is a pure function of (spec, job index) — the
 //!    flow is bit-reproducible for any thread count, and job `i` always
 //!    names the same (circuit, sigma factor) cell;
-//! 2. completed records pass through a reorder buffer and are committed to
-//!    the journal **in job-index order**, so the journal's bytes never
-//!    depend on completion order;
+//! 2. the ledger commits records to the journal **in job-index order**
+//!    (its reorder buffer parks early finishers), so the journal's bytes
+//!    never depend on completion order;
 //! 3. wall-clock times stay out of the journal (they live in
 //!    [`CampaignOutcome`]).
 //!
 //! Together: a campaign's journal and canonical report are byte-identical
 //! for any worker count, and a mid-campaign kill + resume reproduces the
 //! uninterrupted run exactly (pinned by `tests/fleet_determinism.rs`).
+//! The dispatcher's executors go through the same ledger and the same
+//! per-job function ([`execute_batch`]), so a distributed campaign is
+//! byte-identical too.
 //!
-//! Circuits of one campaign share a single
-//! [`psbi_core::flow::WorkspacePool`], and one flow per circuit serves the
-//! whole sigma sweep (calibration cached, timing graph built once).
+//! One flow per circuit is built up front and serves the whole sigma
+//! sweep of the invocation (calibration cached, timing graph built once);
+//! every flow shares one [`psbi_core::flow::WorkspacePool`].
 
 use crate::error::FleetError;
-use crate::journal::{JobRecord, Journal};
+use crate::journal::JobRecord;
+use crate::ledger::Ledger;
 use crate::spec::{CampaignSpec, JobSpec};
-use psbi_core::flow::{BufferInsertionFlow, InsertionResult, TargetPeriod, WorkspacePool};
+use psbi_core::flow::{
+    BufferInsertionFlow, FlowConfig, FlowDiagnostics, InsertionResult, TargetPeriod, WorkspacePool,
+};
 use psbi_netlist::Circuit;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Execution knobs for one `run_campaign` invocation.
 ///
@@ -47,9 +54,8 @@ pub struct FleetOptions {
     /// and incremental-run knob); `None` runs to completion.
     pub max_jobs: Option<usize>,
     /// Print per-job progress lines to stderr, plus a periodic summary
-    /// line (jobs done / total, quarantines, elapsed, ETA) driven by the
-    /// `psbi_obs` metrics registry — the runner arms a path-less registry
-    /// if one is not armed already.
+    /// line (jobs done / total, quarantines, elapsed, ETA) read from the
+    /// campaign ledger.
     pub progress: bool,
     /// Arm span tracing for this campaign with the given flush
     /// destination (Chrome trace-event JSON — load in Perfetto).
@@ -124,7 +130,7 @@ pub struct CampaignOutcome {
     /// process executed.  Aggregations label themselves "executed jobs"
     /// accordingly (`resumed_diagnostics_quarantined` in the runner
     /// tests pins this contract).
-    pub job_diagnostics: Vec<Option<psbi_core::flow::FlowDiagnostics>>,
+    pub job_diagnostics: Vec<Option<FlowDiagnostics>>,
     /// Always 0: no per-chip solver state is kept between jobs.  Kept so
     /// existing readers of the counter still compile.
     pub peak_resident_states: u64,
@@ -137,58 +143,6 @@ impl CampaignOutcome {
     pub fn complete(&self) -> bool {
         self.records.len() == self.total_jobs
     }
-}
-
-/// In-order commit state: the reorder buffer between racing workers and
-/// the append-only journal.
-struct CommitState {
-    journal: Journal,
-    /// Next job index to commit.
-    next: usize,
-    /// Completed jobs waiting for their predecessors (`None` diagnostics
-    /// for quarantined jobs — they produced no result).
-    parked: BTreeMap<usize, (JobRecord, f64, Option<psbi_core::flow::FlowDiagnostics>)>,
-    records: Vec<JobRecord>,
-    job_wall_s: Vec<Option<f64>>,
-    job_diagnostics: Vec<Option<psbi_core::flow::FlowDiagnostics>>,
-    /// Per-job verifier failures, accumulated in commit (= job) order.
-    verify_failures: Vec<(usize, String)>,
-    error: Option<FleetError>,
-}
-
-impl CommitState {
-    /// Commits every parked record that has become next-in-line.
-    fn drain(&mut self) -> Result<(), FleetError> {
-        while let Some((record, wall, diag)) = self.parked.remove(&self.next) {
-            let _span = psbi_obs::Span::enter_with("fleet.commit", &[("job", self.next as u64)]);
-            if psbi_fault::failpoint!("fleet.commit.before_write", "job" = self.next) {
-                // Simulate a crash in the window between claiming the
-                // commit slot and writing the record: the journal keeps
-                // its valid prefix and resume re-executes this job.
-                panic!("injected fault: fleet.commit.before_write");
-            }
-            self.journal.append(&record)?;
-            if let Some(report) = diag.as_ref().and_then(|d| d.verify.as_ref()) {
-                if !report.passed {
-                    self.verify_failures.push((self.next, report.to_string()));
-                }
-            }
-            self.records.push(record);
-            self.job_wall_s[self.next] = Some(wall);
-            self.job_diagnostics[self.next] = diag;
-            psbi_obs::metrics::counter_add("fleet.jobs.committed", 1);
-            self.next += 1;
-        }
-        Ok(())
-    }
-}
-
-/// Locks the commit state, recovering from poisoning: the state is a
-/// reorder buffer of already-complete values, so a panic while a worker
-/// held the lock (e.g. an injected commit fault) leaves it fully
-/// consistent — the remaining workers may keep committing.
-fn lock_commit<'a>(state: &'a Mutex<CommitState>) -> MutexGuard<'a, CommitState> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Best-effort human-readable panic payload (deterministic for string
@@ -211,7 +165,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// panic strikes are simply not returned to the pool, shared mutexes
 /// recover from poisoning, and every retry recomputes from the same
 /// deterministic inputs.
-pub(crate) fn execute_job(
+fn execute_job(
     flow: &BufferInsertionFlow,
     job: &JobSpec,
     retries: usize,
@@ -239,18 +193,98 @@ pub(crate) fn execute_job(
     Err(fault)
 }
 
-/// Runs a batch of grid jobs sequentially, quarantining past the retry
-/// budget, handing each finished [`JobRecord`] to `emit` — the shared
-/// execution core of the dispatch worker and the dispatcher's inline
-/// fallback, which differ only in where records go (the wire vs the
-/// journal).  Jobs are grouped by circuit; each needed circuit is
-/// materialised once and served by one flow over the shared `pool`.
-/// `emit`'s
-/// second argument is the independent verifier's failure report when
-/// `verify` is set and the re-check failed (non-canonical — it never
-/// reaches the journal); `emit` returning `Ok(false)` stops the batch
-/// early (lease expired, connection lost) — remaining jobs are simply
-/// not run.
+/// One executed job: its journal record plus the non-canonical extras
+/// that never reach the journal.
+struct JobRun {
+    record: JobRecord,
+    wall_s: f64,
+    /// `None` for a quarantined job (it produced no result).
+    diagnostics: Option<FlowDiagnostics>,
+}
+
+impl JobRun {
+    /// The independent verifier's failure report, when it ran and failed.
+    fn verify_failure(&self) -> Option<String> {
+        self.diagnostics
+            .as_ref()
+            .and_then(|d| d.verify.as_ref())
+            .filter(|report| !report.passed)
+            .map(ToString::to_string)
+    }
+}
+
+/// Runs grid job `job` on `flow` — the one "run job `i`" of every
+/// executor: the `fleet.job` span and wall timer around
+/// [`execute_job`], then a result record, or a quarantine record once the
+/// retry budget is spent.
+fn run_job(flow: &BufferInsertionFlow, job: &JobSpec, retries: usize) -> JobRun {
+    let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", job.index as u64)]);
+    let t_job = Instant::now();
+    let executed = {
+        let _timer = psbi_obs::metrics::timer("fleet.job.wall");
+        execute_job(flow, job, retries)
+    };
+    let wall_s = t_job.elapsed().as_secs_f64();
+    psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
+    let (record, diagnostics) = match executed {
+        Ok(result) => (
+            JobRecord::from_result(job, &result),
+            Some(result.diagnostics),
+        ),
+        Err(fault) => {
+            psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
+            (JobRecord::quarantined(job, fault), None)
+        }
+    };
+    JobRun {
+        record,
+        wall_s,
+        diagnostics,
+    }
+}
+
+/// Materialises each circuit `jobs` name once, keyed by circuit index.
+fn circuits_of<'a>(
+    jobs: impl IntoIterator<Item = &'a JobSpec>,
+) -> Result<BTreeMap<usize, Circuit>, FleetError> {
+    let mut circuits = BTreeMap::new();
+    for job in jobs {
+        if let Entry::Vacant(slot) = circuits.entry(job.circuit_index) {
+            slot.insert(job.circuit.materialize().map_err(FleetError::Circuit)?);
+        }
+    }
+    Ok(circuits)
+}
+
+/// Builds one flow per circuit, every flow checking worker scratch out of
+/// the shared `pool`.  A flow serves its circuit's whole sigma sweep: the
+/// timing graph and sampler are built once, and the µT/σT calibration is
+/// computed on first use and cached.
+fn flows_for<'c>(
+    circuits: &'c BTreeMap<usize, Circuit>,
+    cfg: &FlowConfig,
+    pool: &Arc<WorkspacePool>,
+) -> Result<BTreeMap<usize, BufferInsertionFlow<'c>>, FleetError> {
+    circuits
+        .iter()
+        .map(|(&index, circuit)| {
+            BufferInsertionFlow::builder(circuit, cfg.clone())
+                .pool(Arc::clone(pool))
+                .build()
+                .map(|flow| (index, flow))
+                .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))
+        })
+        .collect()
+}
+
+/// Runs a batch of grid jobs sequentially through [`run_job`], handing
+/// each finished [`JobRecord`] to `emit` — the execution core of the
+/// dispatch worker and the dispatcher's inline fallback, which differ only
+/// in where records go (the wire vs the ledger).  `emit`'s second
+/// argument is the independent verifier's failure report when `verify` is
+/// set and the re-check failed (non-canonical — it never reaches the
+/// journal); `emit` returning `Ok(false)` stops the batch early (lease
+/// expired, connection lost) — remaining jobs are simply not run.
 ///
 /// # Errors
 ///
@@ -264,68 +298,34 @@ pub(crate) fn execute_batch(
     verify: bool,
     emit: &mut dyn FnMut(JobRecord, Option<String>) -> Result<bool, FleetError>,
 ) -> Result<(), FleetError> {
-    let mut by_circuit: BTreeMap<usize, Vec<&JobSpec>> = BTreeMap::new();
-    for job in jobs {
-        by_circuit.entry(job.circuit_index).or_default().push(job);
-    }
     let mut cfg = spec.flow_config();
     cfg.verify = verify;
-    for jobs in by_circuit.into_values() {
-        let circuit = jobs[0].circuit.materialize().map_err(FleetError::Circuit)?;
-        let flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
-            .pool(Arc::clone(pool))
-            .build()
-            .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))?;
-        let mut stop = false;
-        for job in jobs {
-            let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", job.index as u64)]);
-            let executed = {
-                let _timer = psbi_obs::metrics::timer("fleet.job.wall");
-                execute_job(&flow, job, retries)
-            };
-            let (record, verify_failed) = match executed {
-                Ok(result) => {
-                    let verify_failed = result
-                        .diagnostics
-                        .verify
-                        .as_ref()
-                        .filter(|report| !report.passed)
-                        .map(ToString::to_string);
-                    (JobRecord::from_result(job, &result), verify_failed)
-                }
-                Err(fault) => {
-                    psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
-                    (JobRecord::quarantined(job, fault), None)
-                }
-            };
-            psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
-            if !emit(record, verify_failed)? {
-                stop = true;
-                break;
-            }
-        }
-        if stop {
+    let circuits = circuits_of(jobs)?;
+    let flows = flows_for(&circuits, &cfg, pool)?;
+    for job in jobs {
+        let run = run_job(&flows[&job.circuit_index], job, retries);
+        let verify_failed = run.verify_failure();
+        if !emit(run.record, verify_failed)? {
             break;
         }
     }
     Ok(())
 }
 
-/// RAII flush of both obs sinks when `run_campaign` returns (any path):
-/// rewrites the trace file and the metrics snapshot if their subsystems
-/// are armed, warning on stderr instead of failing the campaign — the
-/// canonical journal is already safely on disk by then.
+/// RAII flush of both obs sinks when `run_campaign` returns (any path) —
+/// the canonical journal is already safely on disk by then.
 struct FlushObs;
 
 impl Drop for FlushObs {
     fn drop(&mut self) {
-        if let Err(e) = psbi_obs::trace::flush() {
-            eprintln!("psbi-fleet: warning: trace flush failed: {e}");
-        }
-        if let Err(e) = psbi_obs::metrics::flush() {
-            eprintln!("psbi-fleet: warning: metrics flush failed: {e}");
-        }
+        psbi_obs::flush_all();
     }
+}
+
+/// Locks the ledger.  Its commit window catches panics, so a poisoned
+/// lock can only follow a panic between complete updates.
+fn lock(ledger: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
+    ledger.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs (or resumes) `spec` against the journal at `journal_path`.
@@ -347,273 +347,134 @@ pub fn run_campaign(
     if let Some(path) = &opts.trace {
         psbi_obs::trace::arm(path.clone());
     }
-    if opts.progress && !psbi_obs::metrics::enabled() {
-        // The periodic progress line reads the metrics registry; arm a
-        // path-less one (in-process only, nothing written at flush) when
-        // the environment has not armed one already.
-        psbi_obs::metrics::arm(None);
-    }
     let _flush_obs = FlushObs;
     spec.validate()?;
-    let jobs = spec.jobs();
-    let total = jobs.len();
+    let ledger = Ledger::open(spec, journal_path, opts.max_jobs)?;
+    let total = ledger.total();
+    let resumed = ledger.resumed();
     let _campaign_span = psbi_obs::Span::enter_with("fleet.campaign", &[("jobs", total as u64)]);
     psbi_obs::metrics::gauge_set("fleet.jobs.total", total as u64);
-
-    let (journal, existing) = Journal::open(journal_path, spec)?;
-    let resumed = existing.len();
-    // `Journal::open` refuses (FleetError::Corrupt) any journal holding
-    // more records than the spec's grid, so `resumed <= total` here; the
-    // guard stays as a cheap backstop against future replay changes.
-    if resumed > total {
-        return Err(FleetError::Corrupt {
-            record: total,
-            detail: format!("journal holds {resumed} records but the grid has {total} jobs"),
-        });
-    }
-    let end = match opts.max_jobs {
-        Some(k) => total.min(resumed + k),
-        None => total,
-    };
     psbi_obs::metrics::counter_add("fleet.jobs.resumed", resumed as u64);
 
-    let job_wall_s = vec![None; total];
-    let job_diagnostics = vec![None; total];
-    if resumed >= end {
-        return Ok(CampaignOutcome {
-            records: existing,
-            resumed_jobs: resumed,
-            executed_jobs: 0,
-            total_jobs: total,
-            job_wall_s,
-            job_diagnostics,
-            peak_resident_states: 0,
-            wall_s: t_start.elapsed().as_secs_f64(),
-        });
-    }
-
-    // Materialise each needed circuit once and build one flow per circuit
-    // (timing graph + canonical sampler built once; µT/σT calibration is
-    // computed on first use and cached for the rest of the sigma sweep).
-    // Every flow checks worker scratch out of one shared pool.
-    let mut needed = vec![false; spec.circuits.len()];
-    for job in &jobs[resumed..end] {
-        needed[job.circuit_index] = true;
-    }
-    let circuits: Vec<Option<Circuit>> = spec
-        .circuits
-        .iter()
-        .zip(&needed)
-        .map(|(c, need)| {
-            need.then(|| c.materialize())
-                .transpose()
-                .map_err(FleetError::Circuit)
-        })
-        .collect::<Result<_, _>>()?;
     let pool = Arc::new(WorkspacePool::new());
     let mut cfg = spec.flow_config();
     cfg.region_parallel = opts.region_parallel;
     cfg.search_prune = opts.search_prune;
     cfg.verify = opts.verify;
-    let flows: Vec<Option<BufferInsertionFlow>> = circuits
-        .iter()
-        .map(|c| {
-            c.as_ref()
-                .map(|circuit| {
-                    BufferInsertionFlow::builder(circuit, cfg.clone())
-                        .pool(Arc::clone(&pool))
-                        .build()
-                        .map_err(|e| FleetError::Circuit(format!("{}: {e}", circuit.name)))
-                })
-                .transpose()
-        })
-        .collect::<Result<_, _>>()?;
+    let circuits = circuits_of(ledger.pending())?;
+    let flows = flows_for(&circuits, &cfg, &pool)?;
 
-    let pending = end - resumed;
     let workers = match opts.workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
-    .min(pending)
+    .min(ledger.pending().count())
     .max(1);
+    let ledger = Mutex::new(ledger);
 
-    let state = Mutex::new(CommitState {
-        journal,
-        next: resumed,
-        parked: BTreeMap::new(),
-        records: existing,
+    // A panic escaping a worker (only possible outside the retry harness
+    // and the ledger's commit guard) fails the campaign with the worker
+    // class instead of unwinding the caller; resume recovers the rest.
+    let (runs, worker_panic) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    // (job, wall time, diagnostics) of every job this thread ran.
+                    let mut runs = Vec::new();
+                    loop {
+                        let job = {
+                            let mut ledger = lock(&ledger);
+                            let Some(j) = ledger.claim(1, false).pop_first() else {
+                                break runs;
+                            };
+                            ledger.job(j).clone()
+                        };
+                        let run = run_job(&flows[&job.circuit_index], &job, opts.retries);
+                        if opts.progress {
+                            print_job_line(&run, total, opts.retries);
+                        }
+                        let verify_failed = run.verify_failure();
+                        runs.push((job.index, run.wall_s, run.diagnostics));
+                        let mut ledger = lock(&ledger);
+                        if let Err(e) = ledger.accept(run.record, verify_failed) {
+                            ledger.fail(e);
+                        }
+                    }
+                })
+            })
+            .collect();
+        // The periodic summary line, every 2 s until the workers finish.
+        let mut last = Instant::now();
+        while opts.progress && !handles.iter().all(|h| h.is_finished()) {
+            std::thread::sleep(Duration::from_millis(100));
+            if last.elapsed() < Duration::from_secs(2) {
+                continue;
+            }
+            last = Instant::now();
+            let (done, quarantined, end) = {
+                let ledger = lock(&ledger);
+                (ledger.committed(), ledger.quarantined(), ledger.end())
+            };
+            let elapsed = t_start.elapsed().as_secs_f64();
+            let eta = if done > resumed && done < end {
+                let eta = (end - done) as f64 * elapsed / (done - resumed) as f64;
+                format!(", ETA {eta:.0}s")
+            } else {
+                String::new()
+            };
+            eprintln!(
+                "psbi-fleet: progress {done}/{total} jobs committed \
+                 ({quarantined} quarantined), {elapsed:.1}s elapsed{eta}"
+            );
+        }
+        let mut runs = Vec::new();
+        let mut worker_panic = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(ran) => runs.extend(ran),
+                Err(payload) => _ = worker_panic.get_or_insert(payload),
+            }
+        }
+        (runs, worker_panic)
+    });
+
+    let mut ledger = ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(payload) = worker_panic {
+        ledger.fail(FleetError::Worker(panic_message(payload)));
+    }
+    let records = ledger.finish()?;
+    let mut job_wall_s = vec![None; total];
+    let mut job_diagnostics = vec![None; total];
+    for (job, wall_s, diagnostics) in runs {
+        job_wall_s[job] = Some(wall_s);
+        job_diagnostics[job] = diagnostics;
+    }
+    Ok(CampaignOutcome {
+        executed_jobs: records.len() - resumed,
+        records,
+        resumed_jobs: resumed,
+        total_jobs: total,
         job_wall_s,
         job_diagnostics,
-        verify_failures: Vec::new(),
-        error: None,
-    });
-    let cursor = AtomicUsize::new(resumed);
-    let failed = AtomicBool::new(false);
-    // Stop signal for the periodic progress reporter (set once every
-    // worker has been joined, so the final line reflects the last job).
-    let progress_done = AtomicBool::new(false);
-    // Registry baselines: the counters are process-cumulative, so a
-    // second campaign in one process must report its own deltas.
-    let committed0 = psbi_obs::metrics::counter_value("fleet.jobs.committed");
-    let quarantined0 = psbi_obs::metrics::counter_value("fleet.jobs.quarantined");
-
-    // The scope itself runs under `catch_unwind`: a panic that escapes a
-    // worker thread (possible only *outside* the per-job retry harness,
-    // e.g. an injected commit fault) must not abort the process — the
-    // journal's valid prefix is on disk and resume recovers it.  Workers
-    // are joined explicitly so the progress reporter can be told to stop
-    // before the scope would otherwise wait on it; a worker panic is
-    // re-raised after that signal, preserving the pre-reporter contract.
-    let scope_panic = catch_unwind(AssertUnwindSafe(|| {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                handles.push(scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    if j >= end {
-                        break;
-                    }
-                    let job = &jobs[j];
-                    let Some(flow) = flows[job.circuit_index].as_ref() else {
-                        let mut st = lock_commit(&state);
-                        st.error.get_or_insert(FleetError::Circuit(format!(
-                            "internal: no flow was built for circuit index {}",
-                            job.circuit_index
-                        )));
-                        failed.store(true, Ordering::Relaxed);
-                        break;
-                    };
-                    let _job_span = psbi_obs::Span::enter_with("fleet.job", &[("job", j as u64)]);
-                    let t_job = Instant::now();
-                    let executed = {
-                        let _timer = psbi_obs::metrics::timer("fleet.job.wall");
-                        execute_job(flow, job, opts.retries)
-                    };
-                    let wall = t_job.elapsed().as_secs_f64();
-                    psbi_obs::metrics::counter_add("fleet.jobs.executed", 1);
-                    let (record, diag) = match executed {
-                        Ok(result) => {
-                            let record = JobRecord::from_result(job, &result);
-                            (record, Some(result.diagnostics))
-                        }
-                        Err(fault) => {
-                            psbi_obs::metrics::counter_add("fleet.jobs.quarantined", 1);
-                            (JobRecord::quarantined(job, fault), None)
-                        }
-                    };
-                    if opts.progress {
-                        if record.quarantined {
-                            eprintln!(
-                                "psbi-fleet: job {}/{} {} k={} QUARANTINED after {} attempts: {}",
-                                j + 1,
-                                total,
-                                record.circuit_id,
-                                record.sigma_factor,
-                                opts.retries + 1,
-                                record.fault
-                            );
-                        } else {
-                            eprintln!(
-                                "psbi-fleet: job {}/{} {} k={} Y {:.2}% -> {:.2}% ({} buffers, {:.2}s)",
-                                j + 1,
-                                total,
-                                record.circuit_id,
-                                record.sigma_factor,
-                                record.yield_baseline,
-                                record.yield_with_buffers,
-                                record.nb,
-                                wall
-                            );
-                        }
-                    }
-                    let mut st = lock_commit(&state);
-                    st.parked.insert(j, (record, wall, diag));
-                    if let Err(e) = st.drain() {
-                        st.error.get_or_insert(e);
-                        failed.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }));
-            }
-            if opts.progress {
-                scope.spawn(|| {
-                    let mut last = Instant::now();
-                    while !progress_done.load(Ordering::Relaxed) {
-                        std::thread::sleep(std::time::Duration::from_millis(100));
-                        if last.elapsed().as_secs_f64() < 2.0 {
-                            continue;
-                        }
-                        last = Instant::now();
-                        let committed = psbi_obs::metrics::counter_value("fleet.jobs.committed")
-                            .saturating_sub(committed0);
-                        let quarantined =
-                            psbi_obs::metrics::counter_value("fleet.jobs.quarantined")
-                                .saturating_sub(quarantined0);
-                        let done = resumed + committed as usize;
-                        let elapsed = t_start.elapsed().as_secs_f64();
-                        if committed > 0 && done < end {
-                            let eta = (end - done) as f64 * elapsed / committed as f64;
-                            eprintln!(
-                                "psbi-fleet: progress {done}/{total} jobs committed \
-                                 ({quarantined} quarantined), {elapsed:.1}s elapsed, \
-                                 ETA {eta:.0}s"
-                            );
-                        } else {
-                            eprintln!(
-                                "psbi-fleet: progress {done}/{total} jobs committed \
-                                 ({quarantined} quarantined), {elapsed:.1}s elapsed"
-                            );
-                        }
-                    }
-                });
-            }
-            let mut worker_panic = None;
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    worker_panic.get_or_insert(payload);
-                }
-            }
-            progress_done.store(true, Ordering::Relaxed);
-            if let Some(payload) = worker_panic {
-                std::panic::resume_unwind(payload);
-            }
-        })
-    }));
-
-    let mut state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = state.error.take() {
-        return Err(e);
-    }
-    if let Err(payload) = scope_panic {
-        return Err(FleetError::Worker(panic_message(payload)));
-    }
-    if !state.verify_failures.is_empty() {
-        let detail: Vec<String> = state
-            .verify_failures
-            .iter()
-            .map(|(job, report)| format!("job {job}: {report}"))
-            .collect();
-        return Err(FleetError::Verify(format!(
-            "{} of {} job(s) failed independent verification — {}",
-            state.verify_failures.len(),
-            state.records.len(),
-            detail.join("; ")
-        )));
-    }
-    let executed = state.records.len() - resumed;
-    Ok(CampaignOutcome {
-        records: state.records,
-        resumed_jobs: resumed,
-        executed_jobs: executed,
-        total_jobs: total,
-        job_wall_s: state.job_wall_s,
-        job_diagnostics: state.job_diagnostics,
         peak_resident_states: 0,
         wall_s: t_start.elapsed().as_secs_f64(),
     })
+}
+
+/// The per-job progress line on stderr.
+fn print_job_line(run: &JobRun, total: usize, retries: usize) {
+    let r = &run.record;
+    let outcome = if r.quarantined {
+        format!("QUARANTINED after {} attempts: {}", retries + 1, r.fault)
+    } else {
+        let (y0, y1) = (r.yield_baseline, r.yield_with_buffers);
+        format!(
+            "Y {y0:.2}% -> {y1:.2}% ({} buffers, {:.2}s)",
+            r.nb, run.wall_s
+        )
+    };
+    let (job, circuit, k) = (r.job + 1, &r.circuit_id, r.sigma_factor);
+    eprintln!("psbi-fleet: job {job}/{total} {circuit} k={k} {outcome}");
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! # Worker
 //!
 //! [`run_worker`] connects to a dispatcher, requests leases and executes
-//! them through the same [`crate::runner`] batch core the
-//! single-process runner and the dispatcher's inline fallback use — the
-//! determinism story needs exactly one implementation of "run job `i`".
-//! The robustness machinery wraps around it:
+//! them through [`crate::runner`]'s batch core — the same per-job
+//! function the single-process runner and the dispatcher's inline
+//! fallback use, since the determinism story needs exactly one
+//! implementation of "run job `i`".  Its records go back over the wire
+//! into the campaign's ledger on the dispatcher.  The robustness
+//! machinery wraps around it:
 //!
 //! * **Capped exponential backoff** on connect/reconnect (reset after
 //!   every successful session), so a dispatcher restart is survived
@@ -42,7 +44,7 @@
 
 use crate::error::FleetError;
 use crate::journal::JobRecord;
-use crate::proto::{read_msg, write_msg, Msg};
+use crate::proto::{read_msg, send, write_msg, Msg};
 use crate::runner::execute_batch;
 use crate::spec::{CampaignSpec, JobSpec};
 use psbi_core::flow::WorkspacePool;
@@ -235,11 +237,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), FleetError> {
     }
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Msg) -> Result<(), FleetError> {
-    let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    write_msg(&mut *w, msg).map_err(FleetError::Io)
-}
-
 /// Applies the session IO timeouts — `lease_ms.max(500) * 4`, mirroring
 /// the dispatcher's own worker-read timeout.  A timed-out read or write
 /// surfaces as an IO error, which every caller already treats as a lost
@@ -262,7 +259,7 @@ fn session(
     // configured (or default) lease window.
     set_io_timeouts(
         &stream,
-        crate::dispatch::env_u64("PSBI_DISPATCH_LEASE_MS", 10_000),
+        crate::proto::env_u64("PSBI_DISPATCH_LEASE_MS", 10_000),
     );
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));

@@ -16,6 +16,8 @@
 //!   `dispatch.worker.stall`, `dispatch.lease.expire_early`,
 //!   `worker.result.torn`), each asserted to actually exercise its
 //!   recovery path via the lease log;
+//! * a crash in the commit window (`fleet.commit.before_write`) and a
+//!   `--verify` failure, each failing with the class a local run reports;
 //! * subprocess legs: `kill -9` of a worker mid-lease, and `kill -9` of
 //!   the dispatcher followed by a resumed re-submission.
 //!
@@ -636,6 +638,106 @@ fn failed_campaign_retirement_closes_its_leases() {
             Vec::<u64>::new(),
             "failed campaign left open grants in the lease log"
         );
+        cleanup(&journal);
+    });
+}
+
+/// A crash in the ledger's commit window (after a record is claimed for
+/// writing, before the write) under `serve` fails only that campaign, with
+/// the worker class (exit 8): it is retired with every lease closed and
+/// the dispatcher keeps running.  A fault-free re-submission then resumes
+/// from the journal's valid prefix, byte-identical to the reference.
+#[test]
+fn commit_window_crash_fails_the_campaign_and_resubmit_resumes() {
+    let spec = quick_spec();
+    let (ref_bytes, ref_report) = psbi_fault::with_spec("", || reference(&spec, "commitwin"));
+    let journal = tmp("commitwin");
+    cleanup(&journal);
+    psbi_fault::with_spec("fleet.commit.before_write@job=1,times=1", || {
+        let (addr, handle, dispatcher) = spawn_dispatcher(serve_opts(false));
+        let worker = spawn_worker(&addr, "crashed-commit");
+        let err = submit_campaign(
+            &spec.to_json(),
+            &journal.display().to_string(),
+            &submit_opts(&addr),
+        )
+        .expect_err("a commit-window crash must fail the campaign");
+        assert_eq!(err.code(), 8, "expected worker class, got: {err}");
+        handle.shutdown();
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        worker.join().expect("worker thread").expect("worker run");
+        assert_eq!(
+            open_lease_ids(&journal),
+            Vec::<u64>::new(),
+            "crashed campaign left open grants in the lease log"
+        );
+    });
+    psbi_fault::with_spec("", || {
+        let (addr, _handle, dispatcher) = spawn_dispatcher(serve_opts(true));
+        let worker = spawn_worker(&addr, "resumer");
+        let outcome = submit_campaign(
+            &spec.to_json(),
+            &journal.display().to_string(),
+            &submit_opts(&addr),
+        )
+        .expect("fault-free re-submission");
+        assert_eq!(outcome.committed, spec.jobs().len());
+        assert_eq!(outcome.resumed, 1, "job 0 was committed before the crash");
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        worker.join().expect("worker thread").expect("worker run");
+        assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "commit crash");
+        cleanup(&journal);
+    });
+}
+
+/// `submit --verify` reaches the verdict a local `run --verify` does:
+/// under injected outcome corruption both fail with the verify class
+/// (exit 9) and the same message.
+#[test]
+fn submit_verify_failure_matches_the_local_run() {
+    let spec = quick_spec();
+    psbi_fault::with_spec("solve.outcome.corrupt@push=2", || {
+        let local_journal = tmp("verify_local");
+        let _ = std::fs::remove_file(&local_journal);
+        let local = run_campaign(
+            &spec,
+            &local_journal,
+            &FleetOptions {
+                workers: 2,
+                verify: true,
+                ..FleetOptions::default()
+            },
+        )
+        .expect_err("corrupted outcomes must fail verification");
+        let _ = std::fs::remove_file(&local_journal);
+
+        let journal = tmp("verify_remote");
+        cleanup(&journal);
+        let (addr, _handle, dispatcher) = spawn_dispatcher(serve_opts(true));
+        let worker = spawn_worker(&addr, "verifier");
+        let remote = submit_campaign(
+            &spec.to_json(),
+            &journal.display().to_string(),
+            &SubmitOptions {
+                verify: true,
+                ..submit_opts(&addr)
+            },
+        )
+        .expect_err("corrupted outcomes must fail verification over dispatch");
+        dispatcher
+            .join()
+            .expect("dispatcher thread")
+            .expect("dispatcher run");
+        worker.join().expect("worker thread").expect("worker run");
+        assert_eq!(local.code(), 9, "local: {local}");
+        assert_eq!(remote.code(), 9, "remote: {remote}");
+        assert_eq!(remote.to_string(), local.to_string());
         cleanup(&journal);
     });
 }

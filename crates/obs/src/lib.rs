@@ -56,3 +56,57 @@ pub(crate) fn test_gate() -> MutexGuard<'static, ()> {
 pub fn test_lock() -> MutexGuard<'static, ()> {
     test_gate()
 }
+
+/// Flushes both sinks — the trace, then the metrics snapshot — warning on
+/// stderr instead of failing when a write does: by the time a caller
+/// flushes, its real output is already safe.  Sinks that are not armed
+/// are skipped, so this is free in a default run.  A library caller that
+/// sets `PSBI_TRACE` / `PSBI_METRICS` calls this once when its run ends
+/// to get the files written.
+pub fn flush_all() {
+    if trace::enabled() {
+        if let Err(e) = trace::flush() {
+            eprintln!("psbi_obs: warning: trace flush failed: {e}");
+        }
+    }
+    if metrics::enabled() {
+        if let Err(e) = metrics::flush() {
+            eprintln!("psbi_obs: warning: metrics flush failed: {e}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_all_writes_every_armed_sink() {
+        let _gate = test_lock();
+        let dir = std::env::temp_dir();
+        let trace_path = dir.join(format!("psbi_obs_flush_all_{}.json", std::process::id()));
+        let metrics_path = dir.join(format!("psbi_obs_flush_all_{}.m.json", std::process::id()));
+        trace::arm(trace_path.clone());
+        metrics::arm(Some(metrics_path.clone()));
+        {
+            let _span = Span::enter("obs.flush_all");
+            metrics::counter_add("obs.flush_all", 1);
+        }
+        flush_all();
+        trace::disarm();
+        metrics::disarm();
+        let trace = std::fs::read_to_string(&trace_path).expect("trace written");
+        let snapshot = std::fs::read_to_string(&metrics_path).expect("metrics written");
+        assert!(trace.contains("obs.flush_all"));
+        assert!(snapshot.contains("obs.flush_all"));
+        // Disarmed sinks are skipped: nothing is rewritten.
+        std::fs::remove_file(&trace_path).unwrap();
+        flush_all();
+        assert!(!trace_path.exists());
+        let mut prom = metrics_path.clone().into_os_string();
+        prom.push(".prom");
+        for p in [metrics_path, prom.into()] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+}

@@ -96,4 +96,6 @@ fn main() {
             s.ff, s.final_range.0, s.final_range.1
         );
     }
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

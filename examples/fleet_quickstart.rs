@@ -95,4 +95,6 @@ fn main() {
 
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&reference);
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

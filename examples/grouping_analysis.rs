@@ -47,4 +47,6 @@ fn main() {
     println!();
     println!("looser thresholds merge more buffers (smaller Nb) but widen the shared");
     println!("windows and can cost yield when members' tunings diverge.");
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

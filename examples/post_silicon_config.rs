@@ -69,4 +69,6 @@ fn main() {
     println!(
         "{configured}/20 chips configured ({needed_tuning} required nonzero tuning), {dead} dead"
     );
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

@@ -65,4 +65,6 @@ fn main() {
         area.config_bits,
         100.0 * area.area_saving()
     );
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

@@ -64,4 +64,6 @@ fn main() {
         report.mean_period(false, 3.0 * r.sigma_t),
         report.mean_period(true, 3.0 * r.sigma_t)
     );
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }

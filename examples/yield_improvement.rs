@@ -47,4 +47,6 @@ fn main() {
     println!("expected shape (paper, 10000 samples): large Yi at muT (~27 points),");
     println!("moderate at +1 sigma (~12), small at +2 sigma (~1.5); Nb stays a small");
     println!("fraction of the flip-flops and Ab stays well below the 20-step maximum.");
+    // Writes the PSBI_TRACE / PSBI_METRICS files when either is set.
+    psbi::obs::flush_all();
 }
