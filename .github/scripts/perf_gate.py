@@ -59,32 +59,6 @@ def main() -> int:
                     base_wide * (1.0 - tolerance),
                 )
             )
-        # Region-parallel search floor: fan-out on vs off at the same
-        # thread count.  The ratio tracks host core count more than the
-        # kernel backend (a single-core host's honest ratio is ~1.0), so
-        # the floor only gates when the probe has at least as many cores
-        # as the committed baseline's host — fewer cores would flag
-        # hardware, not a regression.
-        probe_rp = probe.get("search_parallel", {})
-        base_rp = baseline.get("search_parallel", {})
-        if "search_parallel_speedup" in probe_rp and "search_parallel_speedup" in base_rp:
-            if probe_rp.get("host_cores", 1) >= base_rp.get("host_cores", 1):
-                base_par = base_rp["search_parallel_speedup"]
-                checks.append(
-                    (
-                        "search_parallel_speedup (region fan-out on vs off)",
-                        probe_rp["search_parallel_speedup"],
-                        base_par,
-                        base_par * (1.0 - tolerance),
-                    )
-                )
-            else:
-                notes.append(
-                    f"probe host has {probe_rp.get('host_cores', 1)} cores vs the "
-                    f"baseline's {base_rp.get('host_cores', 1)} — search_parallel "
-                    f"floor skipped (probe ratio: "
-                    f"{probe_rp['search_parallel_speedup']:.3f}x)"
-                )
     else:
         notes.append(
             f"probe backend `{probe_backend}` differs from committed baseline "

@@ -14,9 +14,8 @@
 //! to the fused scalar backend versus the active wide backend
 //! (AVX2/NEON/portable), which the `perf-gate` CI job tracks — a
 //! `solver_stages` breakdown inside the `flow` section (discovery /
-//! saturation-screen / search / MILP seconds), the region fan-out and
-//! search-pruning on/off ratios, and a `campaign` section: a small
-//! 2-circuit × 2-target
+//! saturation-screen / search / MILP seconds), the search-pruning on/off
+//! ratios, and a `campaign` section: a small 2-circuit × 2-target
 //! fleet campaign timed against the same jobs as back-to-back
 //! `BufferInsertionFlow::run()` calls, plus the pure journal-replay
 //! (resume no-op) time — the fleet subsystem's overhead trajectory.
@@ -190,53 +189,7 @@ fn main() {
             .unwrap_or(0.0)
     };
 
-    // Region-parallel search trajectory: the same flow at the same
-    // thread count with the per-chip region fan-out on versus off,
-    // isolating what the region pool buys the search stage.  A fresh
-    // flow per repeat, so pooled warm state cannot leak between sides.
-    // On a single-core host the pool degrades to scoped threads sharing
-    // one core, so the honest ratio there is ~1.0 — the perf gate floors
-    // the *committed* ratio with a noise tolerance instead of demanding
-    // a fixed multiplier.
     let step_sum = |r: &psbi_core::flow::InsertionResult| r.runtime.step1_s + r.runtime.step2_s;
-    let rp_threads = 2usize;
-    let rp_on_cfg = FlowConfig {
-        threads: rp_threads,
-        ..cfg.clone()
-    };
-    let rp_off_cfg = FlowConfig {
-        threads: rp_threads,
-        region_parallel: false,
-        ..cfg.clone()
-    };
-    let (rp_on_s, rp_on_result) = best_of(|| {
-        let flow = BufferInsertionFlow::builder(&circuit, rp_on_cfg.clone())
-            .build()
-            .expect("valid circuit");
-        let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
-        (step_sum(&r), r)
-    });
-    let (rp_off_s, rp_off_result) = best_of(|| {
-        let flow = BufferInsertionFlow::builder(&circuit, rp_off_cfg.clone())
-            .build()
-            .expect("valid circuit");
-        let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
-        (step_sum(&r), r)
-    });
-    // Bit-identical either way — the ratio compares equal work.
-    assert_eq!(
-        (
-            rp_on_result.nb,
-            rp_on_result.yield_with_buffers,
-            &rp_on_result.groups
-        ),
-        (
-            rp_off_result.nb,
-            rp_off_result.yield_with_buffers,
-            &rp_off_result.groups
-        ),
-        "region-parallel changed the flow's canonical result"
-    );
 
     // Search-pruning trajectory: the same single-threaded flow with the
     // B&B pruning rules (symmetry, bitset covering and cascade bounds)
@@ -355,6 +308,11 @@ fn main() {
     let _ = writeln!(json, "  \"n_ffs\": {},", sg.n_ffs);
     let _ = writeln!(json, "  \"n_edges\": {},", sg.edges.len());
     let _ = writeln!(json, "  \"samples\": {samples},");
+    let _ = writeln!(
+        json,
+        "  \"host_cores\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     let _ = writeln!(json, "  \"scalar_sampling_extraction\": {{");
     let _ = writeln!(json, "    \"seconds\": {scalar_s:.6},");
     let _ = writeln!(json, "    \"samples_per_sec\": {scalar_rate:.1}");
@@ -429,21 +387,6 @@ fn main() {
     let _ = writeln!(json, "      \"milp_s\": {:.6}", stage_s("solve.stage.milp"));
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"search_parallel\": {{");
-    let _ = writeln!(json, "    \"threads\": {rp_threads},");
-    let _ = writeln!(
-        json,
-        "    \"host_cores\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let _ = writeln!(json, "    \"parallel_step_s\": {rp_on_s:.6},");
-    let _ = writeln!(json, "    \"serial_step_s\": {rp_off_s:.6},");
-    let _ = writeln!(
-        json,
-        "    \"search_parallel_speedup\": {:.3}",
-        rp_off_s / rp_on_s
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"search_pruning\": {{");
     let _ = writeln!(json, "    \"threads\": 1,");
     let _ = writeln!(json, "    \"pruned_step_s\": {sp_on_s:.6},");
@@ -504,11 +447,10 @@ fn main() {
     eprintln!(
         "perf_json: scalar {scalar_rate:.0}/s, batched {batched_rate:.0}/s \
          ({:.2}x), backend {} ({:.2}x vs scalar kernels), flow {flow_s:.2}s, \
-         region fan-out {:.2}x, search pruning {:.2}x -> {out_path}",
+         search pruning {:.2}x -> {out_path}",
         scalar_s / batched_s,
         backend.name(),
         simd_scalar_s / simd_wide_s,
-        rp_off_s / rp_on_s,
         sp_off_s / sp_on_s
     );
     eprintln!("perf_json: disarmed obs site costs {disarmed_span_ns:.1} ns");

@@ -7,12 +7,13 @@
 //!     [--circuit s9234] [--samples 256] [--seed 42] [--out parity.bin]
 //! ```
 //!
-//! The `simd-parity` CI job runs this twice — once on the default
-//! (widest) kernel backend and once under `PSBI_FORCE_SCALAR=1` — and
-//! `cmp`s the dumps: the batch engine's dispatch contract is that every
-//! backend produces **byte-identical** SoA buffers.  The active backend
-//! and an FNV-1a digest are printed to stderr so divergences are easy to
-//! spot in job logs.
+//! The `simd-parity` CI job runs this on the default (widest) kernel
+//! backend and again under `PSBI_SIMD_BACKEND=scalar` and `=portable`,
+//! and `cmp`s the dumps: the batch engine's dispatch contract is that
+//! every backend produces **byte-identical** SoA buffers.  The active
+//! backend and an FNV-1a digest are printed to stderr, so a job can check
+//! that the backend it asked for is the one that ran (an unknown or
+//! unavailable name silently falls back to the widest backend).
 
 use psbi_bench::Args;
 use psbi_liberty::Library;

@@ -21,7 +21,7 @@
 //! batch rows.  The draw and bound-extraction kernels run wide (AVX2 /
 //! NEON / portable lanes) on the process-wide [`psbi_timing::simd`]
 //! backend; every backend is bit-identical to the scalar reference
-//! (`PSBI_FORCE_SCALAR=1`), so kernel choice never affects results.
+//! (`PSBI_SIMD_BACKEND=scalar`), so kernel choice never affects results.
 //! Chunks are distributed over a rayon-style work-stealing
 //! parallel iterator (idle workers claim the next unprocessed chunk), and
 //! every worker draws its solver/batch workspaces from a shared pool that
@@ -38,8 +38,7 @@
 use crate::group::{group_buffers, BufferCandidate, Group, GroupConfig};
 use crate::prune::{prune, PruneConfig, PruneReport};
 use crate::solve::{
-    BufferSpace, PassDiagnostics, PushObjective, SampleResult, SampleSolver, SolveRequest,
-    SolverOptions,
+    BufferSpace, PassDiagnostics, PushObjective, SampleSolver, SolveRequest, SolverOptions,
 };
 use crate::yield_eval::{Deployment, YieldReport};
 use psbi_liberty::Library;
@@ -128,13 +127,6 @@ pub struct FlowConfig {
     /// Roughly doubles a run's cost (it re-solves both sample streams
     /// cold).  `PSBI_VERIFY=1` force-enables it process-wide.
     pub verify: bool,
-    /// Fan each chip's independent region searches out across a worker
-    /// pool sized like [`FlowConfig::threads`] (active only when that
-    /// width is ≥ 2).  Region searching is a pure function committed in
-    /// pinned region order (see [`crate::solve`]), so results are
-    /// bit-identical either way — purely a performance knob.
-    /// `PSBI_NO_REGION_PARALLEL=1` force-disables it process-wide.
-    pub region_parallel: bool,
     /// Prune the per-region support search with symmetry breaking,
     /// bitset covering bounds and the cascade bound (see
     /// [`crate::solve`]'s search module).  Every rule provably preserves
@@ -165,7 +157,6 @@ impl Default for FlowConfig {
             skew: None,
             record_histograms: 0,
             verify: false,
-            region_parallel: true,
             search_prune: true,
         }
     }
@@ -178,12 +169,11 @@ impl FlowConfig {
     ///
     /// | Variable                 | Field                          | Polarity |
     /// |--------------------------|--------------------------------|----------|
-    /// | `PSBI_NO_REGION_PARALLEL`| [`FlowConfig::region_parallel`]| disables |
     /// | `PSBI_NO_SEARCH_PRUNE`   | [`FlowConfig::search_prune`]   | disables |
     /// | `PSBI_VERIFY`            | [`FlowConfig::verify`]         | enables  |
     ///
-    /// For the `PSBI_NO_*` hatches any value other than empty or `0`
-    /// counts as set; `PSBI_VERIFY` has the opposite polarity.  The same
+    /// For the `PSBI_NO_SEARCH_PRUNE` hatch any value other than empty or
+    /// `0` counts as set; `PSBI_VERIFY` has the opposite polarity.  The same
     /// toggles are *also* applied when a flow is built from a
     /// hand-constructed configuration (each is read once per process, so
     /// an escape hatch always wins over the corresponding field) — this
@@ -192,21 +182,10 @@ impl FlowConfig {
     pub fn from_env() -> Self {
         Self {
             verify: verify_env_enabled(),
-            region_parallel: region_parallel_env_enabled(),
             search_prune: search_prune_env_enabled(),
             ..Self::default()
         }
     }
-}
-
-/// Process-wide `PSBI_NO_REGION_PARALLEL` escape hatch, read once: any
-/// value other than empty or `0` keeps every chip's region searches on
-/// the calling worker thread (see [`FlowConfig::region_parallel`]).
-fn region_parallel_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var("PSBI_NO_REGION_PARALLEL").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
 }
 
 /// Process-wide `PSBI_NO_SEARCH_PRUNE` escape hatch, read once: any value
@@ -220,7 +199,7 @@ fn search_prune_env_enabled() -> bool {
 }
 
 /// Process-wide `PSBI_VERIFY` switch, read once.  Opposite polarity to the
-/// escape hatches above: any value other than empty or `0` force-*enables*
+/// escape hatch above: any value other than empty or `0` force-*enables*
 /// the independent result verifier regardless of [`FlowConfig::verify`].
 fn verify_env_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
@@ -544,11 +523,6 @@ pub struct BufferInsertionFlow<'a> {
     /// Explicit thread pool when [`FlowConfig::threads`] > 0; `None` uses
     /// the global default (respecting `RAYON_NUM_THREADS`).
     thread_pool: Option<rayon::ThreadPool>,
-    /// Pool the sampling passes fan region searches out on — present only
-    /// when [`FlowConfig::region_parallel`] is on (and not overridden by
-    /// `PSBI_NO_REGION_PARALLEL`) and the worker width is ≥ 2, so a
-    /// single-threaded flow never pays fan-out overhead.
-    region_pool: Option<rayon::ThreadPool>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -681,24 +655,6 @@ impl<'a> FlowBuilder<'a> {
         } else {
             None
         };
-        // The region fan-out pool exists only when it can actually help:
-        // knob on, no process-wide escape hatch, and ≥ 2 workers — a
-        // single-threaded flow runs every search inline, no setup cost.
-        let width = if cfg.threads > 0 {
-            cfg.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        let region_pool = if cfg.region_parallel && region_parallel_env_enabled() && width >= 2 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(width)
-                    .build()
-                    .map_err(|e| FlowError::Config(format!("region pool: {e}")))?,
-            )
-        } else {
-            None
-        };
         Ok(BufferInsertionFlow {
             circuit,
             cfg,
@@ -712,7 +668,6 @@ impl<'a> FlowBuilder<'a> {
             pool,
             calibration: OnceLock::new(),
             thread_pool,
-            region_pool,
         })
     }
 }
@@ -768,14 +723,6 @@ impl<'a> BufferInsertionFlow<'a> {
         FlowBuilder::new(circuit, cfg)
     }
 
-    /// Whether this flow's sampling passes fan region searches out across
-    /// a worker pool ([`FlowConfig::region_parallel`] gated by
-    /// `PSBI_NO_REGION_PARALLEL`, and only with ≥ 2 workers).
-    /// Observability only — results are bit-identical either way.
-    pub fn region_parallel_enabled(&self) -> bool {
-        self.region_pool.is_some()
-    }
-
     /// Whether this flow's region searches run with pruning (symmetry,
     /// bitset and cascade bounds) enabled ([`FlowConfig::search_prune`]
     /// gated by `PSBI_NO_SEARCH_PRUNE`).  Observability only — results
@@ -813,7 +760,7 @@ impl<'a> BufferInsertionFlow<'a> {
     /// Name of the sampling-kernel backend every pass of this flow runs
     /// on (`avx2`, `neon`, `portable`, or `scalar`) — the process-wide
     /// [`psbi_timing::simd::active`] selection, overridable with
-    /// `PSBI_FORCE_SCALAR=1`.  All backends are bit-identical, so this is
+    /// `PSBI_SIMD_BACKEND`.  All backends are bit-identical, so this is
     /// observability only: perf harnesses record it next to their
     /// timings.
     pub fn sampling_backend(&self) -> &'static str {
@@ -1061,29 +1008,21 @@ impl<'a> BufferInsertionFlow<'a> {
                     PushObjective::ToTargets(targets.expect("targets provided for ToTargets"))
                 }
             };
-            // Split borrows: the sessions hold this chunk's constraint
-            // views (shared) while the solver executes their searches
-            // (exclusive).
+            // Split borrows: the requests hold this chunk's constraint
+            // views (shared) while the solver runs them (exclusive).
             let solver = &mut ws.solver;
             let cons = &ws.cons;
             // One solve per chip, in chip order: chips with no violations
             // (or a provably unfixable one) conclude inside `begin`; the
-            // rest fan each round's region searches out on the region
-            // pool (when present), committing in pinned region order.
-            let mut results: Vec<Option<SampleResult>> = vec![None; len];
-            for (row, slot) in results.iter_mut().enumerate() {
-                let mut req =
+            // rest run their region searches inline on this worker,
+            // committing in pinned region order.
+            for row in 0..len {
+                let req =
                     SolveRequest::new(&self.sg, cons.view(row), space, objective, &self.cfg.solver)
                         .search_prune(self.search_prune_enabled());
-                if let Some(pool) = self.region_pool.as_ref() {
-                    req = req.pool(pool);
-                }
                 let out = solver.solve(req);
                 local.diag.merge(&out.diag);
-                *slot = Some(out.result);
-            }
-            for (row, slot) in results.into_iter().enumerate() {
-                let r = slot.expect("every chip concluded");
+                let r = out.result;
                 // SAFETY: row `lo + row` belongs to this chunk alone.
                 unsafe { feasible_ref.write(lo + row, r.feasible) };
                 if !r.feasible {

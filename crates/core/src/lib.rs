@@ -39,7 +39,9 @@
 //! solves run from a pool of per-worker workspaces
 //! ([`solve::SampleSolver`] with persistent branch-and-bound scratch and a
 //! warm-started difference-constraint solver).  Chunks are scheduled onto
-//! a rayon-style work-stealing parallel iterator.
+//! a rayon-style work-stealing parallel iterator; that chip-level chunk
+//! loop is the flow's only parallelism, so each chip's region searches
+//! run inline on the worker that owns the chip.
 //!
 //! **Determinism guarantee:** chip `k` is seeded by `(stream, k)` alone,
 //! chunk boundaries are fixed constants, and chunk results merge in chunk
@@ -53,10 +55,8 @@
 //! Flows are assembled with [`flow::FlowBuilder`]
 //! (`BufferInsertionFlow::builder(..).library(..).pool(..).build()`), and
 //! the per-sample solver is driven through a single request-shaped entry
-//! point ([`solve::SolveRequest`] → [`solve::SampleSolver::solve`]) whose
-//! optional region-parallel execution is a field of the request rather
-//! than a separate entry point — see [`solve`] for the plan/execute
-//! session underneath.
+//! point ([`solve::SolveRequest`] → [`solve::SampleSolver::solve`]) — see
+//! [`solve`] for the plan/execute session underneath.
 //!
 //! # Example
 //!

@@ -36,19 +36,20 @@
 //!
 //! Everything above is driven through **one** entry point:
 //! [`SampleSolver::solve`] takes a [`SolveRequest`] carrying the
-//! constraint view, the buffer space, the push objective, the limits and
-//! the optional thread pool as fields.
+//! constraint view, the buffer space, the push objective and the limits
+//! as fields, and runs every region search inline on the calling thread.
+//! Parallelism lives one level up: the flow solves independent chips on
+//! separate workers.
 //!
 //! Underneath, a solve is an explicit plan/execute loop:
 //! [`SampleSolver::begin`] returns a [`SolveSession`];
 //! [`SolveSession::plan`] builds the round's regions and yields them as
 //! self-contained [`RegionTask`]s; [`SampleSolver::execute`] searches a
-//! batch of tasks — inline, or fanned out across a rayon pool when one is
-//! supplied — and [`SolveSession::commit`] applies the outcomes **in
+//! batch of tasks and [`SolveSession::commit`] applies the outcomes **in
 //! pinned region order**, never completion order.  Region searching is a
 //! pure function of each task (warm-state independent, pinned
-//! tie-breaking), so fan-out changes only the wall clock, never a byte of
-//! any result.
+//! tie-breaking), so how a batch is scheduled changes only the wall
+//! clock, never a byte of any result.
 //!
 //! The generic big-M MILP formulation of the whole problem is also
 //! available ([`SampleSolver::solve_reference_milp`]) and is used by tests
@@ -381,10 +382,9 @@ impl SearchScratch {
 }
 
 /// One sample solve, fully described: the chip's constraint system, the
-/// buffer space, the push objective, the solver limits, and the optional
-/// execution tier.
+/// buffer space, the push objective and the solver limits.
 ///
-/// Build with [`SolveRequest::new`], then chain [`SolveRequest::pool`] and
+/// Build with [`SolveRequest::new`], then chain
 /// [`SolveRequest::search_prune`] as needed; the result is bit-identical
 /// either way.
 pub struct SolveRequest<'a> {
@@ -393,7 +393,6 @@ pub struct SolveRequest<'a> {
     space: &'a BufferSpace,
     push: PushObjective<'a>,
     opts: &'a SolverOptions,
-    pool: Option<&'a rayon::ThreadPool>,
     search_prune: bool,
 }
 
@@ -412,17 +411,8 @@ impl<'a> SolveRequest<'a> {
             space,
             push,
             opts,
-            pool: None,
             search_prune: true,
         }
-    }
-
-    /// Fans region searches out on `pool` instead of running them inline
-    /// on the calling thread.  Results are bit-identical either way.
-    #[must_use]
-    pub fn pool(mut self, pool: &'a rayon::ThreadPool) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Enables or disables the search's symmetry / bitset / cascade
@@ -511,11 +501,6 @@ impl<'a> SolveSession<'a> {
     /// The solver limits this session runs under.
     pub fn opts(&self) -> &'a SolverOptions {
         self.req.opts
-    }
-
-    /// The thread pool attached to the request, if any.
-    pub fn pool(&self) -> Option<&'a rayon::ThreadPool> {
-        self.req.pool
     }
 
     /// Whether this session's fresh searches run with pruning enabled
@@ -656,14 +641,13 @@ impl SampleSolver {
     }
 
     /// Solves one sample end to end: minimum buffer count, then
-    /// (optionally) value concentration, on the request's pool if it
-    /// carries one.  This is the solver's single
+    /// (optionally) value concentration, with every region search inline
+    /// on the calling thread.  This is the solver's single
     /// entry point; [`SampleSolver::begin`] / [`SolveSession::plan`] /
     /// [`SampleSolver::execute`] / [`SolveSession::commit`] are the same
     /// pipeline exposed at the region boundary, for callers interleaving
     /// several chips' searches in one batch.
     pub fn solve(&mut self, req: SolveRequest<'_>) -> SolveOutcome {
-        let pool = req.pool;
         let mut session = self.begin(req);
         while !session.is_done() {
             let tasks = session.plan(self);
@@ -671,7 +655,7 @@ impl SampleSolver {
                 &tasks,
                 session.space(),
                 session.opts(),
-                pool,
+                None,
                 session.search_prune(),
             );
             session.commit(self, &outcomes);
@@ -763,6 +747,7 @@ impl SampleSolver {
     /// [`SearchScratch`] (minted on demand, parked between batches);
     /// otherwise the batch runs inline on the solver's own scratch.
     /// Searches are pure, so the two paths are bit-identical.
+    /// [`SampleSolver::solve`] always runs inline (`pool = None`).
     ///
     /// Tasks from several sessions may be aggregated into one call — an
     /// outcome belongs to whichever session planned the task, at the same

@@ -19,7 +19,7 @@
 //!   first optimal-count support reached in that order is the one
 //!   returned.
 //!
-//! This is what makes region fan-out safe: a search returns the same
+//! This makes a search a pure function of its task: it returns the same
 //! support bit for bit on any thread and any scratch workspace.
 //!
 //! # Pruning (node elimination that preserves the pin)

@@ -767,7 +767,7 @@ fn unfixable_cycle_detected_by_global_screen() {
 }
 
 #[test]
-fn region_parallel_commits_in_pinned_region_order() {
+fn reversed_execution_commits_in_pinned_region_order() {
     // Two disconnected violated regions give a multi-task round.  The
     // pinned-order contract: a round's outcomes are indexed by task
     // slot, so executing the tasks in any completion order — here
@@ -820,23 +820,44 @@ fn region_parallel_commits_in_pinned_region_order() {
     assert_eq!(session.finish(), want);
 }
 
+/// Drives one solve through `begin` / `plan` / `execute` / `commit` with
+/// every round's batch on `pool`; returns the outcome and the largest
+/// batch a round handed to `execute`.
+fn solve_on_pool(
+    s: &mut SampleSolver,
+    req: SolveRequest<'_>,
+    pool: &rayon::ThreadPool,
+) -> (SolveOutcome, usize) {
+    let mut session = s.begin(req);
+    let mut widest = 0;
+    while !session.is_done() {
+        let tasks = session.plan(s);
+        widest = widest.max(tasks.len());
+        let outcomes = s.execute(
+            &tasks,
+            session.space(),
+            session.opts(),
+            Some(pool),
+            session.search_prune(),
+        );
+        session.commit(s, &outcomes);
+    }
+    (session.finish(), widest)
+}
+
 #[test]
-fn region_pool_execution_is_bit_identical_to_inline() {
-    // The same request solved inline and fanned out on a wide pool must
-    // agree bit for bit — outcome, tunings, and diagnostics.
+fn fanned_out_execute_is_bit_identical_to_inline() {
+    // The same request solved inline and with every batch fanned out on
+    // a wide pool must agree bit for bit — outcome, tunings, and
+    // diagnostics.
     let sg = graph(6, &[(0, 1), (2, 3), (4, 5), (1, 2)]);
     let ic = constraints(&[-3, -4, -2, 6], &[9, 9, 9, 9]);
     let space = BufferSpace::floating(6, 20);
     let opts = SolverOptions::default();
+    let req = || SolveRequest::new(&sg, ic.as_view(), &space, PushObjective::ToZero, &opts);
 
     let mut inline = SampleSolver::new();
-    let want = inline.solve(SolveRequest::new(
-        &sg,
-        ic.as_view(),
-        &space,
-        PushObjective::ToZero,
-        &opts,
-    ));
+    let want = inline.solve(req());
     assert!(want.result.feasible);
 
     let pool = rayon::ThreadPoolBuilder::new()
@@ -844,14 +865,15 @@ fn region_pool_execution_is_bit_identical_to_inline() {
         .build()
         .unwrap();
     let mut par = SampleSolver::new();
-    let got = par.solve(
-        SolveRequest::new(&sg, ic.as_view(), &space, PushObjective::ToZero, &opts).pool(&pool),
+    let (got, widest) = solve_on_pool(&mut par, req(), &pool);
+    assert!(
+        widest >= 2,
+        "expected a multi-task round to take the fan-out branch, got {widest}"
     );
     assert_eq!(got, want);
-    // A second parallel solve on the same (now multi-scratch) solver
-    // stays identical — parked scratches never leak warm state.
-    let again = par.solve(
-        SolveRequest::new(&sg, ic.as_view(), &space, PushObjective::ToZero, &opts).pool(&pool),
-    );
-    assert_eq!(again, want);
+    // A second fanned-out solve on the same (now multi-scratch) solver
+    // stays identical — parked scratches never leak warm state — and so
+    // does an inline solve on it.
+    assert_eq!(solve_on_pool(&mut par, req(), &pool).0, want);
+    assert_eq!(par.solve(req()), want);
 }

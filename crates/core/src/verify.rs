@@ -1,10 +1,10 @@
 //! Independent re-verification of a finished [`InsertionResult`].
 //!
 //! The flow's fast paths (warm-started witnesses, saturation elision,
-//! pruned search, region fan-out) are proven correct by parity tests, but
-//! a long-running campaign wants a *runtime* check: an answer that can be
-//! re-derived from the raw inputs, with none of the fast paths in the
-//! loop.  This module is that check.
+//! pruned search) are proven correct by parity tests, but a long-running
+//! campaign wants a *runtime* check: an answer that can be re-derived
+//! from the raw inputs, with none of the fast paths in the loop.  This
+//! module is that check.
 //!
 //! [`verify_insertion`] re-draws every sampled chip of the insertion and
 //! yield streams through the scalar single-chip path

@@ -64,12 +64,6 @@ pub struct FleetOptions {
     /// lifecycle.  Canonical outputs are byte-identical with tracing on
     /// or off (`tests/obs.rs` pins this).
     pub trace: Option<PathBuf>,
-    /// Fan each chip's independent region searches out on the flow's
-    /// region pool (see `psbi_core::solve::SolveRequest::pool`).  Region
-    /// results commit in pinned region order, so results are
-    /// bit-identical either way; `PSBI_NO_REGION_PARALLEL=1` overrides
-    /// it process-wide.
-    pub region_parallel: bool,
     /// Prune the per-region support search (symmetry classes, bitset
     /// covering and cascade bounds — see
     /// `psbi_core::solve::SolveRequest::search_prune`).  The shipped
@@ -97,7 +91,6 @@ impl Default for FleetOptions {
             max_jobs: None,
             progress: false,
             trace: None,
-            region_parallel: true,
             search_prune: true,
             retries: 2,
             verify: false,
@@ -358,7 +351,6 @@ pub fn run_campaign(
 
     let pool = Arc::new(WorkspacePool::new());
     let mut cfg = spec.flow_config();
-    cfg.region_parallel = opts.region_parallel;
     cfg.search_prune = opts.search_prune;
     cfg.verify = opts.verify;
     let circuits = circuits_of(ledger.pending())?;

@@ -29,7 +29,7 @@
 //!   out of the chip loop;
 //! * [`simd`] — runtime-dispatched wide kernels (AVX2 / NEON / portable
 //!   lanes) behind the batch engine, bit-identical to the scalar
-//!   reference path and forceable via `PSBI_FORCE_SCALAR=1`;
+//!   reference path and forceable via `PSBI_SIMD_BACKEND=scalar`;
 //! * [`constraint::IntegerConstraints`] — the paper's setup/hold
 //!   inequalities discretised to buffer steps:
 //!   `k_i − k_j ≤ ⌊(T − s_j − d̄ij + t_j − t_i)/δ⌋` and

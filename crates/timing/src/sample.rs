@@ -293,7 +293,7 @@ impl FlatForm {
 ///
 /// [`fill`] and [`fill_one`] run on the process-wide backend picked by
 /// [`simd::active`] (AVX2 / NEON / portable lanes, or the fused scalar
-/// reference under `PSBI_FORCE_SCALAR=1`).  All backends are
+/// reference under `PSBI_SIMD_BACKEND=scalar`).  All backends are
 /// **bit-identical** — see the [`simd`] module docs for the parity
 /// argument — so the choice never affects results, only throughput.
 /// [`fill_with`](CanonicalBatchSampler::fill_with) pins an explicit
@@ -555,7 +555,7 @@ impl CanonicalBatchSampler {
     }
 
     /// Fused per-chip scalar kernel — the reference path (and the
-    /// `PSBI_FORCE_SCALAR=1` path).  Draw order: FF setup/hold first,
+    /// `PSBI_SIMD_BACKEND=scalar` path).  Draw order: FF setup/hold first,
     /// then the edge pairs — every caller must go through here or
     /// [`draw_chip_wide`](Self::draw_chip_wide) (which consumes the RNG in
     /// the identical order) so a chip's values depend only on

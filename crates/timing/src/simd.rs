@@ -10,9 +10,9 @@
 //! * [`active`] picks the best available [`Backend`] **once per process**
 //!   (`OnceLock`), so every flow, pass and fleet job in a process uses the
 //!   same kernels — a prerequisite for the byte-determinism contracts;
-//! * `PSBI_FORCE_SCALAR=1` forces the fused scalar reference path;
 //! * `PSBI_SIMD_BACKEND=scalar|portable|avx2|neon` pins a specific
-//!   backend (ignored when unavailable on the host).
+//!   backend (ignored when unavailable on the host); `scalar` is the
+//!   fused scalar reference path.
 //!
 //! # Bit parity
 //!
@@ -25,7 +25,7 @@
 //! Adds, multiplies, divides and `floor` are exactly rounded per lane in
 //! every instruction set — none of the kernels use FMA contraction — so
 //! SIMD and scalar paths produce **bit-identical** buffers:
-//! `PSBI_FORCE_SCALAR=1` reproduces any run byte for byte, and the
+//! `PSBI_SIMD_BACKEND=scalar` reproduces any run byte for byte, and the
 //! `simd-parity` CI job enforces it for every backend its x86_64 runner
 //! can execute (scalar, portable, AVX2); the NEON path is cross-compiled
 //! there but its runtime parity is only exercised by running the test
@@ -83,7 +83,7 @@ impl FormGroup {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Fused scalar reference path — one form at a time, exactly the
-    /// pre-SIMD code.  This is what `PSBI_FORCE_SCALAR=1` selects.
+    /// pre-SIMD code.  This is what `PSBI_SIMD_BACKEND=scalar` selects.
     Scalar,
     /// Portable four-lane kernels in plain Rust (no intrinsics); the
     /// compiler autovectorises them where the target allows.
@@ -151,19 +151,14 @@ impl Backend {
 
 /// The process-wide backend, selected once on first use.
 ///
-/// Order of precedence: `PSBI_FORCE_SCALAR` (any value other than empty
-/// or `0`) forces [`Backend::Scalar`]; else `PSBI_SIMD_BACKEND` names a
-/// backend (ignored when unavailable); else the widest hardware backend
-/// (AVX2 → NEON → portable).
+/// `PSBI_SIMD_BACKEND` names a backend (ignored when unavailable);
+/// otherwise the widest hardware backend (AVX2 → NEON → portable).
 pub fn active() -> Backend {
     static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(select)
 }
 
 fn select() -> Backend {
-    if matches!(std::env::var("PSBI_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0") {
-        return Backend::Scalar;
-    }
     if let Ok(name) = std::env::var("PSBI_SIMD_BACKEND") {
         if let Some(b) = Backend::from_name(name.trim()) {
             if b.is_available() {

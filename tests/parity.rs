@@ -1,20 +1,16 @@
-//! Region-parallel parity regression: fanning a chip's independent
-//! region searches out on the region pool commits results in pinned
-//! region order, so it must be **bit-invisible**.  Every surface the flow
-//! produces is compared with region-parallel search on and off, at 1 and
-//! 8 workers, on flows swept over several targets (warm calibration and
-//! pooled workspaces carried across `run_target` calls) against fresh
-//! single-target flows:
+//! Parity regression: the flow's canonical surfaces must be
+//! **bit-identical** at 1 and 8 workers, and a flow swept over several
+//! targets (warm calibration and pooled workspaces carried across
+//! `run_target` calls) must match a fresh single-target flow per target:
 //!
 //! * full `InsertionResult`s (modulo wall times and the solver counters,
 //!   which are non-canonical by contract),
 //! * fleet journal bytes and canonical report bytes, including after a
 //!   mid-campaign kill and resume.
 //!
-//! The `PSBI_NO_REGION_PARALLEL=1` environment form of the same contract
-//! is pinned by the CI determinism job (the env flag is read once per
-//! process, so this in-process test uses the equivalent config/option
-//! knobs instead).
+//! CI reruns this suite under `PSBI_NO_SEARCH_PRUNE=1` and
+//! `PSBI_SIMD_BACKEND=scalar` (both read once per process), so each
+//! reference mode is held to the same contract.
 
 use psbi::core::flow::{BufferInsertionFlow, FlowConfig, InsertionResult, TargetPeriod};
 use psbi::fleet::{run_campaign, CampaignReport, CampaignSpec, FleetOptions};
@@ -30,9 +26,9 @@ fn normalized(mut r: InsertionResult) -> InsertionResult {
 }
 
 #[test]
-fn full_flow_is_bit_identical_across_region_parallel_and_workers() {
+fn full_flow_is_bit_identical_across_workers_and_warm_sweeps() {
     let circuit = bench_suite::tiny_demo(42);
-    let cfg = |threads: usize, region_parallel: bool| FlowConfig {
+    let cfg = |threads: usize| FlowConfig {
         samples: 160,
         yield_samples: 300,
         calibration_samples: 300,
@@ -40,16 +36,11 @@ fn full_flow_is_bit_identical_across_region_parallel_and_workers() {
         threads,
         target: TargetPeriod::SigmaFactor(0.0),
         record_histograms: 2,
-        region_parallel,
         ..FlowConfig::default()
     };
     // Flows swept over adjacent targets versus a fresh single-target
     // flow per target, at both worker counts.
-    let variants = [
-        ("region-parallel w1", cfg(1, true)),
-        ("region-parallel w8", cfg(8, true)),
-        ("no-region-parallel w8", cfg(8, false)),
-    ];
+    let variants = [("w1", cfg(1)), ("w8", cfg(8))];
     let flows: Vec<(&str, BufferInsertionFlow)> = variants
         .iter()
         .map(|(name, c)| {
@@ -61,20 +52,13 @@ fn full_flow_is_bit_identical_across_region_parallel_and_workers() {
             )
         })
         .collect();
-    assert!(!flows[2].1.region_parallel_enabled());
     for k in [0.0, 0.5, 1.0] {
         let target = TargetPeriod::SigmaFactor(k);
         let reference = normalized(
-            BufferInsertionFlow::builder(
-                &circuit,
-                FlowConfig {
-                    target,
-                    ..cfg(1, false)
-                },
-            )
-            .build()
-            .unwrap()
-            .run(),
+            BufferInsertionFlow::builder(&circuit, FlowConfig { target, ..cfg(1) })
+                .build()
+                .unwrap()
+                .run(),
         );
         for (name, flow) in &flows {
             assert_eq!(
@@ -91,7 +75,7 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn fleet_journal_bytes_are_identical_across_region_parallel_and_workers() {
+fn fleet_journal_bytes_are_identical_across_workers() {
     let spec = CampaignSpec {
         samples: 100,
         yield_samples: 200,
@@ -102,17 +86,11 @@ fn fleet_journal_bytes_are_identical_across_region_parallel_and_workers() {
         ..CampaignSpec::example()
     };
     let mut journals: Vec<(PathBuf, Vec<u8>, String)> = Vec::new();
-    for (tag, workers, region_parallel) in [
-        ("rp_w1", 1, true),
-        ("rp_w8", 8, true),
-        ("no_rp_w1", 1, false),
-        ("no_rp_w8", 8, false),
-    ] {
+    for (tag, workers) in [("w1", 1), ("w8", 8)] {
         let path = tmp(tag);
         let _ = std::fs::remove_file(&path);
         let opts = FleetOptions {
             workers,
-            region_parallel,
             ..FleetOptions::default()
         };
         let outcome = run_campaign(&spec, &path, &opts).expect("campaign runs");
