@@ -19,13 +19,19 @@
 //! fleet campaign timed against the same jobs as back-to-back
 //! `BufferInsertionFlow::run()` calls, plus the pure journal-replay
 //! (resume no-op) time — the fleet subsystem's overhead trajectory.
+//!
+//! The unpruned half of the search-pruning probe runs in a child process:
+//! `perf_json` re-runs itself with `PSBI_NO_SEARCH_PRUNE=1`, the one
+//! switch for the reference search.  Run that way (by hand too), it only
+//! measures that half and prints it as one `search_probe` line.
 
 use psbi_bench::Args;
-use psbi_core::flow::{BufferInsertionFlow, FlowConfig, TargetPeriod};
+use psbi_core::flow::{BufferInsertionFlow, FlowConfig, InsertionResult, TargetPeriod};
 use psbi_fleet::{run_campaign, CampaignSpec, FleetOptions};
 use psbi_liberty::Library;
 use psbi_netlist::bench_suite;
 use psbi_netlist::bench_suite::CircuitRef;
+use psbi_netlist::Circuit;
 use psbi_timing::graph::TimingGraph;
 use psbi_timing::sample::{
     chip_rng, sample_canonical, CanonicalBatchSampler, SampleBatch, SampleTiming,
@@ -56,6 +62,107 @@ fn best_of<F: FnMut() -> (f64, psbi_core::flow::InsertionResult)>(
     best.expect("at least one run")
 }
 
+/// The full-flow configuration both the flow-stage and the
+/// search-pruning sections run.
+fn flow_config(flow_samples: usize, seed: u64) -> FlowConfig {
+    FlowConfig {
+        samples: flow_samples,
+        yield_samples: flow_samples,
+        calibration_samples: flow_samples,
+        seed,
+        target: TargetPeriod::SigmaFactor(0.0),
+        ..FlowConfig::default()
+    }
+}
+
+/// One half of the search-pruning probe: the single-threaded flow's best
+/// step time, its search-stage seconds, node count and canonical result
+/// (`nb`, buffered-yield bits, groups) — the pruned and unpruned halves
+/// must agree on the latter.
+struct SearchProbe {
+    step_s: f64,
+    search_s: f64,
+    nodes: u64,
+    canonical: String,
+}
+
+impl SearchProbe {
+    /// Runs the probe in this process, whose prune mode is
+    /// `psbi_core::solve::search_prune_default()`.  Needs the metrics
+    /// registry armed (the search time is read from its histograms).
+    fn run(circuit: &Circuit, cfg: &FlowConfig) -> (Self, InsertionResult) {
+        let cfg = FlowConfig {
+            threads: 1,
+            ..cfg.clone()
+        };
+        // Search-stage seconds per run, isolated from the (identical)
+        // sampling/extraction work in the step totals: diff of the armed
+        // `solve.stage.search` span-histogram sum around each run.
+        let search_stage_s = || {
+            psbi_obs::metrics::snapshot()
+                .histogram("solve.stage.search")
+                .map(|h| h.sum as f64 / 1e9)
+                .unwrap_or(0.0)
+        };
+        let mut search_s = f64::MAX;
+        let (step_s, r) = best_of(|| {
+            let before = search_stage_s();
+            let flow = BufferInsertionFlow::builder(circuit, cfg.clone())
+                .build()
+                .expect("valid circuit");
+            let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
+            search_s = search_s.min(search_stage_s() - before);
+            (r.runtime.step1_s + r.runtime.step2_s, r)
+        });
+        let probe = Self {
+            step_s,
+            search_s,
+            nodes: r.diagnostics.total().search_nodes,
+            canonical: format!(
+                "{} {:x} {:?}",
+                r.nb,
+                r.yield_with_buffers.to_bits(),
+                r.groups
+            ),
+        };
+        (probe, r)
+    }
+
+    fn to_line(&self) -> String {
+        format!(
+            "search_probe {:.9} {:.9} {} {}",
+            self.step_s, self.search_s, self.nodes, self.canonical
+        )
+    }
+
+    fn from_line(line: &str) -> Option<Self> {
+        let mut f = line.strip_prefix("search_probe ")?.splitn(4, ' ');
+        Some(Self {
+            step_s: f.next()?.parse().ok()?,
+            search_s: f.next()?.parse().ok()?,
+            nodes: f.next()?.parse().ok()?,
+            canonical: f.next()?.to_string(),
+        })
+    }
+
+    /// Runs the unpruned half in a child process: this binary, same
+    /// arguments, under `PSBI_NO_SEARCH_PRUNE=1`.
+    fn unpruned_child() -> Self {
+        let exe = std::env::current_exe().expect("own executable path");
+        let out = std::process::Command::new(exe)
+            .args(std::env::args_os().skip(1))
+            .env("PSBI_NO_SEARCH_PRUNE", "1")
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .expect("spawn the unpruned search probe");
+        assert!(out.status.success(), "unpruned search probe failed");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find_map(Self::from_line)
+            .expect("unpruned search probe printed its line")
+    }
+}
+
 fn main() {
     let args = Args::from_env();
     let circuit_name: String = args.get("circuit").unwrap_or_else(|| "s9234".to_string());
@@ -65,6 +172,18 @@ fn main() {
     let out_path: String = args
         .get("out")
         .unwrap_or_else(|| "BENCH_sampling.json".to_string());
+    let spec = bench_suite::by_name(&circuit_name).unwrap_or_else(|| {
+        panic!("unknown circuit `{circuit_name}`; see bench_suite::paper_suite()")
+    });
+
+    if !psbi_core::solve::search_prune_default() {
+        // The unpruned half of the search-pruning probe (see the module
+        // docs); everything else needs the pruned default.
+        psbi_obs::metrics::arm(None);
+        let (probe, _) = SearchProbe::run(&spec.generate(), &flow_config(flow_samples, seed));
+        println!("{}", probe.to_line());
+        return;
+    }
 
     // Disarmed observability overhead, measured before anything arms the
     // registry: one span guard constructed and dropped per iteration is
@@ -79,9 +198,6 @@ fn main() {
     }
     let disarmed_span_ns = t_obs.elapsed().as_nanos() as f64 / obs_iters as f64;
 
-    let spec = bench_suite::by_name(&circuit_name).unwrap_or_else(|| {
-        panic!("unknown circuit `{circuit_name}`; see bench_suite::paper_suite()")
-    });
     let circuit = spec.generate();
     let lib = Library::industry_like();
     let model = VariationModel::paper_defaults();
@@ -166,14 +282,7 @@ fn main() {
     // (`solve.stage.*`) cover exactly this run — the old StageTimes
     // plumbing lives in obs now, and the solver reads no clock at all
     // unless the registry is armed.
-    let cfg = FlowConfig {
-        samples: flow_samples,
-        yield_samples: flow_samples,
-        calibration_samples: flow_samples,
-        seed,
-        target: TargetPeriod::SigmaFactor(0.0),
-        ..FlowConfig::default()
-    };
+    let cfg = flow_config(flow_samples, seed);
     psbi_obs::metrics::arm(None);
     let t2 = Instant::now();
     let result = BufferInsertionFlow::builder(&circuit, cfg.clone())
@@ -189,63 +298,21 @@ fn main() {
             .unwrap_or(0.0)
     };
 
-    let step_sum = |r: &psbi_core::flow::InsertionResult| r.runtime.step1_s + r.runtime.step2_s;
-
     // Search-pruning trajectory: the same single-threaded flow with the
     // B&B pruning rules (symmetry, bitset covering and cascade bounds)
-    // on versus off (the `PSBI_NO_SEARCH_PRUNE` semantics).  Node
-    // counts come from the flow's own diagnostics at 1 worker, so they
-    // are deterministic and host-independent — the perf gate pins them
-    // exactly, unlike the wall-clock ratios.  Results are bit-identical
-    // either way; only the number of B&B nodes visited differs.
-    let sp_on_cfg = FlowConfig {
-        threads: 1,
-        ..cfg.clone()
-    };
-    let sp_off_cfg = FlowConfig {
-        threads: 1,
-        search_prune: false,
-        ..cfg.clone()
-    };
-    // Search-stage seconds per run, isolated from the (identical)
-    // sampling/extraction work in the step totals: diff of the armed
-    // `solve.stage.search` span-histogram sum around each run.
-    let search_stage_s = || {
-        psbi_obs::metrics::snapshot()
-            .histogram("solve.stage.search")
-            .map(|h| h.sum as f64 / 1e9)
-            .unwrap_or(0.0)
-    };
-    let run_sp = |cfg: &FlowConfig| {
-        let mut search_s = f64::MAX;
-        let (step_s, r) = best_of(|| {
-            let before = search_stage_s();
-            let flow = BufferInsertionFlow::builder(&circuit, cfg.clone())
-                .build()
-                .expect("valid circuit");
-            let r = flow.run_target(TargetPeriod::SigmaFactor(0.0));
-            search_s = search_s.min(search_stage_s() - before);
-            (step_sum(&r), r)
-        });
-        (step_s, search_s, r)
-    };
-    let (sp_on_s, sp_on_search_s, sp_on_result) = run_sp(&sp_on_cfg);
-    let (sp_off_s, sp_off_search_s, sp_off_result) = run_sp(&sp_off_cfg);
+    // on, here, versus off, in a child under `PSBI_NO_SEARCH_PRUNE=1`.
+    // Node counts come from the flow's own diagnostics at 1 worker, so
+    // they are deterministic and host-independent — the perf gate pins
+    // them exactly, unlike the wall-clock ratios.  Results are
+    // bit-identical either way; only the number of B&B nodes visited
+    // differs.
+    let (sp_on, sp_on_result) = SearchProbe::run(&circuit, &cfg);
+    let sp_off = SearchProbe::unpruned_child();
     assert_eq!(
-        (
-            sp_on_result.nb,
-            sp_on_result.yield_with_buffers,
-            &sp_on_result.groups
-        ),
-        (
-            sp_off_result.nb,
-            sp_off_result.yield_with_buffers,
-            &sp_off_result.groups
-        ),
+        sp_on.canonical, sp_off.canonical,
         "search pruning changed the flow's canonical result"
     );
-    let sp_on = sp_on_result.diagnostics.total();
-    let sp_off = sp_off_result.diagnostics.total();
+    let sp_on_diag = sp_on_result.diagnostics.total();
 
     // Fleet campaign vs the same jobs back to back.  The campaign path
     // journals every job and commits in order; the back-to-back path is
@@ -389,32 +456,36 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"search_pruning\": {{");
     let _ = writeln!(json, "    \"threads\": 1,");
-    let _ = writeln!(json, "    \"pruned_step_s\": {sp_on_s:.6},");
-    let _ = writeln!(json, "    \"unpruned_step_s\": {sp_off_s:.6},");
-    let _ = writeln!(json, "    \"step_speedup\": {:.3},", sp_off_s / sp_on_s);
-    let _ = writeln!(json, "    \"pruned_search_s\": {sp_on_search_s:.6},");
-    let _ = writeln!(json, "    \"unpruned_search_s\": {sp_off_search_s:.6},");
+    let _ = writeln!(json, "    \"pruned_step_s\": {:.6},", sp_on.step_s);
+    let _ = writeln!(json, "    \"unpruned_step_s\": {:.6},", sp_off.step_s);
+    let _ = writeln!(
+        json,
+        "    \"step_speedup\": {:.3},",
+        sp_off.step_s / sp_on.step_s
+    );
+    let _ = writeln!(json, "    \"pruned_search_s\": {:.6},", sp_on.search_s);
+    let _ = writeln!(json, "    \"unpruned_search_s\": {:.6},", sp_off.search_s);
     let _ = writeln!(
         json,
         "    \"search_speedup\": {:.3},",
-        sp_off_search_s / sp_on_search_s
+        sp_off.search_s / sp_on.search_s
     );
-    let _ = writeln!(json, "    \"search_nodes\": {},", sp_on.search_nodes);
-    let _ = writeln!(
-        json,
-        "    \"search_nodes_unpruned\": {},",
-        sp_off.search_nodes
-    );
+    let _ = writeln!(json, "    \"search_nodes\": {},", sp_on.nodes);
+    let _ = writeln!(json, "    \"search_nodes_unpruned\": {},", sp_off.nodes);
     let _ = writeln!(
         json,
         "    \"node_reduction\": {:.3},",
-        sp_off.search_nodes as f64 / sp_on.search_nodes.max(1) as f64
+        sp_off.nodes as f64 / sp_on.nodes.max(1) as f64
     );
-    let _ = writeln!(json, "    \"pruned_bound\": {},", sp_on.search_pruned_bound);
+    let _ = writeln!(
+        json,
+        "    \"pruned_bound\": {},",
+        sp_on_diag.search_pruned_bound
+    );
     let _ = writeln!(
         json,
         "    \"pruned_symmetry\": {}",
-        sp_on.search_pruned_symmetry
+        sp_on_diag.search_pruned_symmetry
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
@@ -451,7 +522,7 @@ fn main() {
         scalar_s / batched_s,
         backend.name(),
         simd_scalar_s / simd_wide_s,
-        sp_off_s / sp_on_s
+        sp_off.step_s / sp_on.step_s
     );
     eprintln!("perf_json: disarmed obs site costs {disarmed_span_ns:.1} ns");
     print!("{json}");

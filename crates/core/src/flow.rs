@@ -127,13 +127,6 @@ pub struct FlowConfig {
     /// Roughly doubles a run's cost (it re-solves both sample streams
     /// cold).  `PSBI_VERIFY=1` force-enables it process-wide.
     pub verify: bool,
-    /// Prune the per-region support search with symmetry breaking,
-    /// bitset covering bounds and the cascade bound (see
-    /// [`crate::solve`]'s search module).  Every rule provably preserves
-    /// the pinned tie-break order, so results are bit-identical either
-    /// way — purely a performance knob; `PSBI_NO_SEARCH_PRUNE=1`
-    /// force-disables it process-wide (the byte-parity reference mode).
-    pub search_prune: bool,
 }
 
 impl Default for FlowConfig {
@@ -157,50 +150,13 @@ impl Default for FlowConfig {
             skew: None,
             record_histograms: 0,
             verify: false,
-            search_prune: true,
         }
     }
 }
 
-impl FlowConfig {
-    /// The default configuration with every `PSBI_*` process toggle
-    /// folded into the corresponding field — the one documented place
-    /// the environment surface is read:
-    ///
-    /// | Variable                 | Field                          | Polarity |
-    /// |--------------------------|--------------------------------|----------|
-    /// | `PSBI_NO_SEARCH_PRUNE`   | [`FlowConfig::search_prune`]   | disables |
-    /// | `PSBI_VERIFY`            | [`FlowConfig::verify`]         | enables  |
-    ///
-    /// For the `PSBI_NO_SEARCH_PRUNE` hatch any value other than empty or
-    /// `0` counts as set; `PSBI_VERIFY` has the opposite polarity.  The same
-    /// toggles are *also* applied when a flow is built from a
-    /// hand-constructed configuration (each is read once per process, so
-    /// an escape hatch always wins over the corresponding field) — this
-    /// constructor just makes the env-derived values visible in the
-    /// config itself.
-    pub fn from_env() -> Self {
-        Self {
-            verify: verify_env_enabled(),
-            search_prune: search_prune_env_enabled(),
-            ..Self::default()
-        }
-    }
-}
-
-/// Process-wide `PSBI_NO_SEARCH_PRUNE` escape hatch, read once: any value
-/// other than empty or `0` reverts every region search to the unpruned
-/// reference branch and bound (see [`FlowConfig::search_prune`]).
-fn search_prune_env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var("PSBI_NO_SEARCH_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
-/// Process-wide `PSBI_VERIFY` switch, read once.  Opposite polarity to the
-/// escape hatch above: any value other than empty or `0` force-*enables*
-/// the independent result verifier regardless of [`FlowConfig::verify`].
+/// Process-wide `PSBI_VERIFY` switch, read once: any value other than
+/// empty or `0` force-enables the independent result verifier regardless
+/// of [`FlowConfig::verify`].
 fn verify_env_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var("PSBI_VERIFY").is_ok_and(|v| !v.is_empty() && v != "0"))
@@ -723,14 +679,6 @@ impl<'a> BufferInsertionFlow<'a> {
         FlowBuilder::new(circuit, cfg)
     }
 
-    /// Whether this flow's region searches run with pruning (symmetry,
-    /// bitset and cascade bounds) enabled ([`FlowConfig::search_prune`]
-    /// gated by `PSBI_NO_SEARCH_PRUNE`).  Observability only — results
-    /// are bit-identical either way.
-    pub fn search_prune_enabled(&self) -> bool {
-        self.cfg.search_prune && search_prune_env_enabled()
-    }
-
     /// Whether `run_target` re-checks its result with the independent
     /// verifier ([`FlowConfig::verify`] or the `PSBI_VERIFY` environment
     /// switch).  The verifier only adds a [`crate::verify::VerifyReport`]
@@ -1018,8 +966,7 @@ impl<'a> BufferInsertionFlow<'a> {
             // committing in pinned region order.
             for row in 0..len {
                 let req =
-                    SolveRequest::new(&self.sg, cons.view(row), space, objective, &self.cfg.solver)
-                        .search_prune(self.search_prune_enabled());
+                    SolveRequest::new(&self.sg, cons.view(row), space, objective, &self.cfg.solver);
                 let out = solver.solve(req);
                 local.diag.merge(&out.diag);
                 let r = out.result;

@@ -61,7 +61,7 @@ use psbi_timing::{
     ConstraintKind, ConstraintsView, IntegerConstraints, SequentialGraph, Violation,
 };
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 mod search;
 #[cfg(test)]
@@ -381,6 +381,17 @@ impl SearchScratch {
     }
 }
 
+/// Whether a new [`SolveRequest`] prunes its search: true unless the
+/// process-wide `PSBI_NO_SEARCH_PRUNE` switch (read once; any value
+/// other than empty or `0`) selects the unpruned reference branch and
+/// bound for every solve (see [`SolveRequest::search_prune`]).
+pub fn search_prune_default() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| {
+        !std::env::var("PSBI_NO_SEARCH_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0")
+    })
+}
+
 /// One sample solve, fully described: the chip's constraint system, the
 /// buffer space, the push objective and the solver limits.
 ///
@@ -397,7 +408,8 @@ pub struct SolveRequest<'a> {
 }
 
 impl<'a> SolveRequest<'a> {
-    /// A request for one chip against `space`.
+    /// A request for one chip against `space`, pruning its search as
+    /// [`search_prune_default`] says.
     pub fn new(
         sg: &'a SequentialGraph,
         ic: ConstraintsView<'a>,
@@ -411,15 +423,15 @@ impl<'a> SolveRequest<'a> {
             space,
             push,
             opts,
-            search_prune: true,
+            search_prune: search_prune_default(),
         }
     }
 
     /// Enables or disables the search's symmetry / bitset / cascade
-    /// pruning rules (see [`solve::search`](self) module docs).  On by
-    /// default; both modes return bit-identical results — the off mode is
-    /// the byte-parity reference the `PSBI_NO_SEARCH_PRUNE=1` flow hatch
-    /// maps to.
+    /// pruning rules (see [`solve::search`](self) module docs) for this
+    /// solve, overriding the process default.  Both modes return
+    /// bit-identical results — the off mode is the byte-parity reference
+    /// `PSBI_NO_SEARCH_PRUNE=1` selects for every solve.
     #[must_use]
     pub fn search_prune(mut self, on: bool) -> Self {
         self.search_prune = on;

@@ -219,7 +219,7 @@ pub(crate) fn run_support_search(
     if m > region_cap {
         // Region too large for exact search: sparsify the full witness
         // greedily (drop small tunings while feasibility holds).
-        return SearchOutcome::fallback(search.sparsify(&full_witness));
+        return SearchOutcome::fallback(search.fallback(&full_witness));
     }
     if search.prune {
         search.prepare_prune();
@@ -234,7 +234,7 @@ pub(crate) fn run_support_search(
         },
         // Node cap exhausted with no incumbent: fall back to the
         // sparsified relaxation witness.
-        None if !search.exact => SearchOutcome::fallback(search.sparsify(&full_witness)),
+        None if !search.exact => SearchOutcome::fallback(search.fallback(&full_witness)),
         None => SearchOutcome::Infeasible,
     }
 }
@@ -296,6 +296,16 @@ impl SupportSearch<'_> {
         )
     }
 
+    /// [`SupportSearch::sparsify`] under the `solve.stage.fallback` span
+    /// and timer, counted in `solve.fallback.regions`, with the region's
+    /// FF count in the `solve.fallback.region_ffs` histogram.
+    fn fallback(&mut self, full_witness: &[i64]) -> (Vec<u32>, Vec<i64>) {
+        let _obs = super::stage_obs("solve.stage.fallback");
+        psbi_obs::metrics::counter_add("solve.fallback.regions", 1);
+        psbi_obs::metrics::observe("solve.fallback.region_ffs", self.region_ffs.len() as u64);
+        self.sparsify(full_witness)
+    }
+
     /// Greedy fallback for oversized regions: start from the all-variables
     /// witness and drop tunings (smallest magnitude first) while the system
     /// stays feasible.  Returns `(support, witness values)`.
@@ -330,6 +340,7 @@ impl SupportSearch<'_> {
             .filter(|(_, d)| **d == Decision::In)
             .map(|(i, _)| self.region_ffs[i])
             .collect();
+        psbi_obs::metrics::counter_add("solve.fallback.probes", 1);
         assert!(
             self.feasible_support(&state, false),
             "sparsify only removes while feasibility holds"
@@ -352,6 +363,7 @@ impl SupportSearch<'_> {
         for &i in batch {
             state[i] = Decision::Out;
         }
+        psbi_obs::metrics::counter_add("solve.fallback.probes", 1);
         if self.feasible_support(state, false) {
             return;
         }

@@ -737,6 +737,46 @@ fn sparsified_fallback_support_is_pinned() {
 }
 
 #[test]
+fn fallback_is_counted_when_armed_and_leaves_the_result_alone() {
+    // The `sparsified_fallback_support_is_pinned` fixture: region_cap 2
+    // sends the violated chain region down the sparsify fallback.
+    let n = 12;
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    let sg = graph(n, &edges);
+    let mut setup = vec![6i64; n - 1];
+    setup[5] = -3;
+    let hold = vec![8i64; n - 1];
+    let ic = constraints(&setup, &hold);
+    let space = BufferSpace::floating(n, 10);
+    let opts = SolverOptions {
+        region_cap: 2,
+        ..SolverOptions::default()
+    };
+    let solve = || {
+        let mut s = SampleSolver::new();
+        solve_plain(&mut s, &sg, &ic, &space, PushObjective::ToZero, &opts)
+    };
+    let _gate = psbi_obs::test_lock();
+    psbi_obs::metrics::disarm();
+    let disarmed = solve();
+    psbi_obs::metrics::arm(None);
+    let armed = solve();
+    let snap = psbi_obs::metrics::snapshot();
+    psbi_obs::metrics::disarm();
+    assert_eq!(armed, disarmed, "instrumentation changed the result");
+    assert!(!armed.exact, "region_cap 2 must take the fallback");
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert!(counter("solve.fallback.regions") > 0);
+    assert!(counter("solve.fallback.probes") > 0);
+    for histogram in ["solve.stage.fallback", "solve.fallback.region_ffs"] {
+        assert!(
+            snap.histogram(histogram).is_some_and(|h| h.count > 0),
+            "{histogram} not recorded"
+        );
+    }
+}
+
+#[test]
 fn unfixable_cycle_detected_by_global_screen() {
     // Ring 0→1→2→0 with negative total slack: tuning-invariant, dead chip.
     let sg = graph(3, &[(0, 1), (1, 2), (2, 0)]);

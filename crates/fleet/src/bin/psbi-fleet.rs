@@ -7,8 +7,7 @@
 //! psbi-fleet run    --spec campaign.json --journal c.journal
 //!                   [--workers N] [--max-jobs K] [--report out.json]
 //!                   [--with-timings] [--quiet] [--progress]
-//!                   [--no-search-prune] [--retries N] [--verify]
-//!                   [--trace trace.json]
+//!                   [--retries N] [--verify]
 //! psbi-fleet report --spec campaign.json --journal c.journal
 //!                   [--json out.json] [--with-timings]
 //! psbi-fleet serve  [--addr HOST:PORT] [--max-campaigns N] [--lease-jobs K]
@@ -30,13 +29,16 @@
 //! defaults to `PSBI_DISPATCH_ADDR` (then 127.0.0.1:7171); `--journal`
 //! on `submit` is a **dispatcher-side** path.
 //!
-//! `--trace` writes a Chrome trace-event JSON file covering the whole
-//! campaign (sampling batches, flow passes, solver stages, job
-//! lifecycle) — load it at <https://ui.perfetto.dev>.  Unless `--quiet`,
-//! progress goes to stderr as one line per finished job plus a periodic
-//! summary (jobs committed / total, quarantines, elapsed, ETA) read from
-//! the campaign ledger; `--progress` re-enables it over `--quiet`.  Neither changes a single canonical byte (`PSBI_TRACE` /
-//! `PSBI_METRICS` in the README).
+//! Unless `--quiet`, progress goes to stderr as one line per finished
+//! job plus a periodic summary (jobs committed / total, quarantines,
+//! elapsed, ETA) read from the campaign ledger; `--progress` re-enables
+//! it over `--quiet`.  Process modes are environment variables and apply
+//! alike to `run`, `serve` and `worker`: `PSBI_TRACE=<path>` writes a
+//! Chrome trace-event JSON file of the process's work (sampling batches,
+//! flow passes, solver stages, job lifecycle; load it at
+//! <https://ui.perfetto.dev>), `PSBI_METRICS=<path>` a metrics snapshot,
+//! and `PSBI_NO_SEARCH_PRUNE=1` runs the unpruned reference search.
+//! None of them changes a single canonical byte (see the README).
 //!
 //! `run` resumes automatically: jobs already present in the journal are
 //! never re-executed, and an interrupted campaign continues exactly where
@@ -102,8 +104,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("plan", "spec", ""),
     (
         "run",
-        "spec journal workers max-jobs report retries trace",
-        "with-timings quiet progress no-search-prune verify",
+        "spec journal workers max-jobs report retries",
+        "with-timings quiet progress verify",
     ),
     ("report", "spec journal json", "with-timings"),
     (
@@ -202,8 +204,7 @@ fn usage() -> ExitCode {
          \x20 psbi-fleet run    --spec campaign.json --journal c.journal\n\
          \x20                   [--workers N] [--max-jobs K] [--report out.json]\n\
          \x20                   [--with-timings] [--quiet] [--progress]\n\
-         \x20                   [--no-search-prune] [--retries N] [--verify]\n\
-         \x20                   [--trace trace.json]\n\
+         \x20                   [--retries N] [--verify]\n\
          \x20 psbi-fleet report --spec campaign.json --journal c.journal\n\
          \x20                   [--json out.json] [--with-timings]\n\
          \x20 psbi-fleet serve  [--addr HOST:PORT] [--max-campaigns N] [--lease-jobs K]\n\
@@ -222,6 +223,8 @@ fn usage() -> ExitCode {
          sized:NAME:FFS:GATES:SEED\n\
          \n\
          --addr defaults to PSBI_DISPATCH_ADDR, then 127.0.0.1:7171\n\
+         PSBI_TRACE / PSBI_METRICS write trace and metrics files;\n\
+         PSBI_NO_SEARCH_PRUNE=1 runs the unpruned reference search\n\
          \n\
          exit codes: 2 usage, 3 spec, 4 io, 5 journal, 6 circuit,\n\
          7 corrupt journal, 8 worker crash, 9 verification failure,\n\
@@ -328,15 +331,10 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         max_jobs: args.get("max-jobs")?,
         // On by default; --quiet silences it, --progress overrides --quiet.
         progress: args.has("progress") || !args.has("quiet"),
-        // Results are bit-identical either way; --no-search-prune (like
-        // PSBI_NO_SEARCH_PRUNE=1) exists for debugging and A/B timing.
-        search_prune: !args.has("no-search-prune"),
         retries: args.get("retries")?.unwrap_or(2),
         // PSBI_VERIFY=1 force-enables verification inside the flow even
         // without the flag.
         verify: args.has("verify"),
-        // Chrome trace-event output; equivalent to PSBI_TRACE=<path>.
-        trace: args.get::<String>("trace")?.map(PathBuf::from),
     };
     let spec = load_spec(args)?;
     let journal = journal_path(args)?;
@@ -511,14 +509,13 @@ mod tests {
 
     #[test]
     fn known_flags_parse_with_typed_values() {
-        let line =
-            "--spec c.json --journal c.journal --workers 8 --max-jobs 1 --quiet --no-search-prune";
+        let line = "--spec c.json --journal c.journal --workers 8 --max-jobs 1 --quiet --verify";
         let a = parse("run", line).unwrap();
         assert_eq!(a.get::<String>("spec").unwrap().as_deref(), Some("c.json"));
         assert_eq!(a.get::<usize>("workers").unwrap(), Some(8));
         assert_eq!(a.get::<usize>("max-jobs").unwrap(), Some(1));
         assert_eq!(a.get::<usize>("retries").unwrap(), None);
-        assert!(a.has("quiet") && a.has("no-search-prune") && !a.has("verify"));
+        assert!(a.has("quiet") && a.has("verify") && !a.has("progress"));
         let a = parse("init", "--sigma -1,0,2").unwrap();
         assert_eq!(
             a.list("sigma").unwrap(),
@@ -546,6 +543,23 @@ mod tests {
         assert!(usage_error("report", "--quiet").contains("--quiet"));
         assert!(usage_error("run", "c.json").contains("`c.json`"));
         assert!(usage_error("launch", "").contains("`launch`"));
+    }
+
+    #[test]
+    fn retired_mode_flags_are_usage_errors() {
+        // Search pruning and tracing are set through PSBI_NO_SEARCH_PRUNE
+        // and PSBI_TRACE only, alike for every subcommand.
+        let m = usage_error("run", "--spec c.json --journal c.journal --no-search-prune");
+        assert!(m.contains("--no-search-prune"), "{m}");
+        let m = usage_error("run", "--spec c.json --journal c.journal --trace t.json");
+        assert!(m.contains("--trace"), "{m}");
+        for command in ["serve", "worker", "submit"] {
+            assert!(usage_error(command, "--trace t.json").contains("--trace"));
+        }
+        match parse("run", "--no-search-prune") {
+            Err(e) => assert_eq!(e.code(), 2),
+            Ok(_) => panic!("--no-search-prune must be refused"),
+        }
     }
 
     #[test]

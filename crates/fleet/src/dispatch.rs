@@ -31,9 +31,10 @@
 //!   their jobs were never committed, so they are simply pending again.
 //!   Campaign ids restart with the dispatcher, so every result must
 //!   carry its spec fingerprint (checked against the campaign's, plus a
-//!   grid-identity check of the record itself) — a worker surviving the
-//!   restart with cached results for an *old* campaign that shared the
-//!   id can never graft foreign bytes into the new campaign's journal.
+//!   grid-identity check of the record itself) — a result line from
+//!   outside the process naming a reused id for an *old* or different
+//!   campaign can never graft foreign bytes into the new campaign's
+//!   journal.
 //! * **Commit-window crash** — a panic while the ledger writes a record
 //!   (the `fleet.commit.before_write` failpoint) fails that campaign with
 //!   the worker class (exit 8): it is retired, its leases closed, and a
@@ -377,6 +378,8 @@ impl Dispatcher {
     /// Fatal accept-loop IO errors (individual connection failures are
     /// recovered by the lease machinery, not propagated).
     pub fn run(self) -> Result<(), FleetError> {
+        // Runs last, after every connection thread has joined.
+        let _flush_obs = psbi_obs::FlushOnDrop;
         let state = &self.state;
         std::thread::scope(|scope| {
             scope.spawn(|| reaper_loop(state));
@@ -933,9 +936,9 @@ fn worker_session(
             } => {
                 if psbi_fault::failpoint!("dispatch.conn.drop", "campaign" = campaign) {
                     // Drop the connection *before* processing: the worker
-                    // never sees an ack, reconnects, and the record is
-                    // either re-sent from its unacked cache or recomputed
-                    // — identical bytes either way.
+                    // never sees an ack, reconnects, and the job is
+                    // recomputed when it is leased again — identical
+                    // bytes.
                     return Err(FleetError::Dispatch(
                         "injected fault: dispatch.conn.drop".into(),
                     ));

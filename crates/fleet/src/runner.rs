@@ -37,7 +37,6 @@ use psbi_netlist::Circuit;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -57,20 +56,6 @@ pub struct FleetOptions {
     /// line (jobs done / total, quarantines, elapsed, ETA) read from the
     /// campaign ledger.
     pub progress: bool,
-    /// Arm span tracing for this campaign with the given flush
-    /// destination (Chrome trace-event JSON — load in Perfetto).
-    /// Equivalent to setting `PSBI_TRACE=<path>`; the trace covers
-    /// sampling batches, flow passes, solver stages and the fleet job
-    /// lifecycle.  Canonical outputs are byte-identical with tracing on
-    /// or off (`tests/obs.rs` pins this).
-    pub trace: Option<PathBuf>,
-    /// Prune the per-region support search (symmetry classes, bitset
-    /// covering and cascade bounds — see
-    /// `psbi_core::solve::SolveRequest::search_prune`).  The shipped
-    /// workloads are bit-identical either way, so this is a performance
-    /// knob outside the fingerprinted [`CampaignSpec`];
-    /// `PSBI_NO_SEARCH_PRUNE=1` overrides it process-wide.
-    pub search_prune: bool,
     /// How many times a panicking job is re-executed before it is
     /// quarantined.  Retries are deterministic: job `i` always re-runs
     /// the same pure function, so a retry either reproduces the panic
@@ -90,8 +75,6 @@ impl Default for FleetOptions {
             workers: 0,
             max_jobs: None,
             progress: false,
-            trace: None,
-            search_prune: true,
             retries: 2,
             verify: false,
         }
@@ -305,16 +288,6 @@ pub(crate) fn execute_batch(
     Ok(())
 }
 
-/// RAII flush of both obs sinks when `run_campaign` returns (any path) —
-/// the canonical journal is already safely on disk by then.
-struct FlushObs;
-
-impl Drop for FlushObs {
-    fn drop(&mut self) {
-        psbi_obs::flush_all();
-    }
-}
-
 /// Locks the ledger.  Its commit window catches panics, so a poisoned
 /// lock can only follow a panic between complete updates.
 fn lock(ledger: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
@@ -337,10 +310,8 @@ pub fn run_campaign(
     opts: &FleetOptions,
 ) -> Result<CampaignOutcome, FleetError> {
     let t_start = Instant::now();
-    if let Some(path) = &opts.trace {
-        psbi_obs::trace::arm(path.clone());
-    }
-    let _flush_obs = FlushObs;
+    // The journal is on disk before the obs files are written.
+    let _flush_obs = psbi_obs::FlushOnDrop;
     spec.validate()?;
     let ledger = Ledger::open(spec, journal_path, opts.max_jobs)?;
     let total = ledger.total();
@@ -351,7 +322,6 @@ pub fn run_campaign(
 
     let pool = Arc::new(WorkspacePool::new());
     let mut cfg = spec.flow_config();
-    cfg.search_prune = opts.search_prune;
     cfg.verify = opts.verify;
     let circuits = circuits_of(ledger.pending())?;
     let flows = flows_for(&circuits, &cfg, &pool)?;

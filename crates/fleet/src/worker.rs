@@ -17,17 +17,13 @@
 //!   line-atomic writer, so a long solve does not look like a dead
 //!   worker.  The `dispatch.worker.stall` failpoint suppresses beats —
 //!   the deterministic test for the expiry/re-dispatch path.
-//! * **An unacknowledged-result cache**: every computed record is kept
-//!   until the dispatcher acknowledges it.  After a dropped connection
-//!   the worker resumes from its last acknowledged record — re-leased
-//!   jobs it already computed are *re-sent*, not re-computed (and if
-//!   someone else committed them first, the dispatcher discards the
-//!   duplicate; the bytes are identical either way).  The cache is
-//!   keyed by **spec fingerprint**, never by dispatcher-assigned
-//!   campaign id: ids restart when a dispatcher restarts, so an id can
-//!   name a different campaign across sessions — the fingerprint
-//!   cannot, and a cached record is valid for *any* campaign with the
-//!   same fingerprint because it is a pure function of (spec, job).
+//! * **No result cache.**  Across reconnects the worker keeps only its
+//!   [`WorkspacePool`].  A record the dispatcher never acknowledged
+//!   (dropped connection, torn line, expired lease) is recomputed if its
+//!   job is leased again: a record is a pure function of (spec, job), so
+//!   the recomputed bytes are the same, and if someone else committed
+//!   the job first the dispatcher discards the duplicate.  Every result
+//!   carries its spec's fingerprint, which the dispatcher checks.
 //! * **Read/write timeouts** on the dispatcher socket, renewed from
 //!   each lease's deadline: a stalled-but-alive dispatcher (or a
 //!   half-open connection) surfaces as a lost connection and the
@@ -48,7 +44,6 @@ use crate::proto::{read_msg, send, write_msg, Msg};
 use crate::runner::execute_batch;
 use crate::spec::{CampaignSpec, JobSpec};
 use psbi_core::flow::WorkspacePool;
-use std::collections::HashMap;
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -108,84 +103,6 @@ enum LeaseEnd {
     ConnLost,
 }
 
-/// Parsed specs retained at once (each with its unacked records).  A
-/// long-running worker serves many campaigns; beyond this bound the
-/// least-recently-leased spec is evicted together with its unacked
-/// records — correctness never depends on the cache (an evicted record
-/// is simply recomputed if its job is ever re-leased).
-const MAX_CACHED_SPECS: usize = 8;
-
-/// One parsed-spec cache entry: the spec, its expanded grid, the
-/// fingerprint of its canonical text, and an LRU stamp.
-struct SpecEntry {
-    spec: CampaignSpec,
-    grid: Vec<JobSpec>,
-    fingerprint: String,
-    stamp: u64,
-}
-
-/// Per-process worker state that must survive reconnects: the shared
-/// workspace pool, parsed specs (keyed by their canonical text) and the
-/// unacknowledged-result cache.
-struct WorkerMemory {
-    pool: Arc<WorkspacePool>,
-    specs: HashMap<String, SpecEntry>,
-    /// Computed but never acknowledged: `(spec fingerprint, job)` → the
-    /// exact record line (+ verifier failure report) to re-send.  Keyed
-    /// by fingerprint, not campaign id — see the module docs.
-    unacked: HashMap<(String, usize), (String, String)>,
-    /// Monotone LRU clock for [`SpecEntry::stamp`].
-    clock: u64,
-}
-
-/// Looks up (or parses and caches) a lease's spec, returning the spec,
-/// its grid and its fingerprint.  Keeps the cache LRU-bounded to
-/// [`MAX_CACHED_SPECS`]: eviction drops the spec entry *and* every
-/// unacked record computed under its fingerprint, so a long-running
-/// worker never accumulates dead campaigns.
-fn remember_spec(
-    memory: &mut WorkerMemory,
-    spec_text: &str,
-) -> Result<(CampaignSpec, Vec<JobSpec>, String), FleetError> {
-    memory.clock += 1;
-    let clock = memory.clock;
-    if let Some(entry) = memory.specs.get_mut(spec_text) {
-        entry.stamp = clock;
-        return Ok((
-            entry.spec.clone(),
-            entry.grid.clone(),
-            entry.fingerprint.clone(),
-        ));
-    }
-    let spec = CampaignSpec::from_json(spec_text)?;
-    let grid = spec.jobs();
-    let fingerprint = spec.fingerprint();
-    if memory.specs.len() >= MAX_CACHED_SPECS {
-        if let Some(oldest) = memory
-            .specs
-            .iter()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(text, _)| text.clone())
-        {
-            if let Some(evicted) = memory.specs.remove(&oldest) {
-                memory
-                    .unacked
-                    .retain(|(fp, _), _| *fp != evicted.fingerprint);
-            }
-        }
-    }
-    memory.specs.insert(
-        spec_text.to_string(),
-        SpecEntry {
-            spec: spec.clone(),
-            grid: grid.clone(),
-            fingerprint: fingerprint.clone(),
-            stamp: clock,
-        },
-    );
-    Ok((spec, grid, fingerprint))
-}
-
 /// Runs a worker until the dispatcher says `shutdown` (or `max_idle_ms`
 /// passes without any dispatcher) — the `psbi-fleet worker` entry point.
 ///
@@ -194,18 +111,15 @@ fn remember_spec(
 /// Only setup-class failures; connection loss and dispatcher restarts
 /// are retried, not returned.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), FleetError> {
-    let mut memory = WorkerMemory {
-        pool: Arc::new(WorkspacePool::new()),
-        specs: HashMap::new(),
-        unacked: HashMap::new(),
-        clock: 0,
-    };
+    // The one thing that outlives a session: solver workspaces.
+    let pool = Arc::new(WorkspacePool::new());
+    let _flush_obs = psbi_obs::FlushOnDrop;
     let mut backoff = Duration::from_millis(opts.backoff_min_ms.max(1));
     let mut last_contact = Instant::now();
     loop {
         if let Ok(stream) = TcpStream::connect(&opts.addr) {
             backoff = Duration::from_millis(opts.backoff_min_ms.max(1));
-            match session(opts, stream, &mut memory) {
+            match session(opts, stream, &pool) {
                 Ok(SessionEnd::Shutdown) => {
                     if opts.progress {
                         eprintln!("psbi-fleet: worker `{}`: dispatcher shut down", opts.name);
@@ -253,7 +167,7 @@ fn set_io_timeouts(stream: &TcpStream, lease_ms: u64) {
 fn session(
     opts: &WorkerOptions,
     stream: TcpStream,
-    memory: &mut WorkerMemory,
+    pool: &Arc<WorkspacePool>,
 ) -> Result<SessionEnd, FleetError> {
     // Until a lease names its actual deadline, time IO out against the
     // configured (or default) lease window.
@@ -305,7 +219,7 @@ fn session(
                     retries,
                     verify,
                 };
-                match run_lease(&mut reader, &writer, memory, ctx)? {
+                match run_lease(&mut reader, &writer, pool, ctx)? {
                     LeaseEnd::Continue => {}
                     LeaseEnd::Shutdown => return Ok(SessionEnd::Shutdown),
                     LeaseEnd::ConnLost => return Ok(SessionEnd::ConnLost),
@@ -337,8 +251,8 @@ struct LeaseCtx {
 enum AckWait {
     /// Record acknowledged; keep going.
     Acked,
-    /// This lease expired under us; abandon its remaining jobs (cache
-    /// intact — a re-lease re-sends instead of re-computing).
+    /// This lease expired under us; abandon its remaining jobs (a
+    /// re-lease recomputes them).
     Abandon,
     /// Dispatcher is going away.
     Shutdown,
@@ -346,23 +260,29 @@ enum AckWait {
     ConnLost,
 }
 
-/// Executes one lease: re-sends cached unacked records first, then
-/// computes the rest, heartbeating throughout.
+/// Executes one lease — computes its jobs in order, delivering each
+/// record as it finishes — heartbeating throughout.
 fn run_lease(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
-    memory: &mut WorkerMemory,
+    pool: &Arc<WorkspacePool>,
     ctx: LeaseCtx,
 ) -> Result<LeaseEnd, FleetError> {
-    let (spec, grid, fingerprint) = remember_spec(memory, &ctx.spec_text)?;
-    for &j in &ctx.jobs {
-        if j >= grid.len() {
-            return Err(FleetError::Dispatch(format!(
-                "lease names job {j} outside the {}-job grid",
-                grid.len()
-            )));
-        }
-    }
+    let spec = CampaignSpec::from_json(&ctx.spec_text)?;
+    let grid = spec.jobs();
+    let jobs = ctx
+        .jobs
+        .iter()
+        .map(|&j| {
+            grid.get(j).cloned().ok_or_else(|| {
+                FleetError::Dispatch(format!(
+                    "lease names job {j} outside the {}-job grid",
+                    grid.len()
+                ))
+            })
+        })
+        .collect::<Result<Vec<JobSpec>, FleetError>>()?;
+    let fingerprint = spec.fingerprint();
 
     // Heartbeat thread: renews the lease while jobs compute.  The
     // `dispatch.worker.stall` failpoint suppresses beats so the
@@ -388,7 +308,7 @@ fn run_lease(
             }
         })
     };
-    let end = run_lease_inner(reader, writer, memory, &ctx, &fingerprint, &spec, &grid);
+    let end = run_lease_inner(reader, writer, pool, &ctx, &fingerprint, &spec, &jobs);
     stop.store(true, Ordering::Relaxed);
     beat.join().ok();
     end
@@ -399,64 +319,25 @@ fn run_lease(
 fn run_lease_inner(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
-    memory: &mut WorkerMemory,
+    pool: &Arc<WorkspacePool>,
     ctx: &LeaseCtx,
     fingerprint: &str,
     spec: &CampaignSpec,
-    grid: &[JobSpec],
+    jobs: &[JobSpec],
 ) -> Result<LeaseEnd, FleetError> {
-    // Phase 1: re-send computed-but-unacked records for this lease's
-    // jobs (resume from the last acknowledged record, no recompute).
-    // The cache is fingerprint-keyed, so a record cached before a
-    // dispatcher restart is only ever re-sent for a campaign with the
-    // *same* spec — for which its bytes are correct by construction.
-    let mut fresh: Vec<JobSpec> = Vec::new();
-    for &j in &ctx.jobs {
-        let key = (fingerprint.to_string(), j);
-        if let Some((line, verify_failed)) = memory.unacked.get(&key).cloned() {
-            match send_and_await(
-                reader,
-                writer,
-                memory,
-                ctx,
-                fingerprint,
-                j,
-                &line,
-                &verify_failed,
-            )? {
-                AckWait::Acked => {}
-                AckWait::Abandon => return Ok(LeaseEnd::Continue),
-                AckWait::Shutdown => return Ok(LeaseEnd::Shutdown),
-                AckWait::ConnLost => return Ok(LeaseEnd::ConnLost),
-            }
-        } else {
-            fresh.push(grid[j].clone());
-        }
-    }
-
-    // Phase 2: compute the rest, delivering each record as it commits
-    // locally.  `execute_batch` stops early when `emit` returns false.
+    // Deliver each record as it finishes; `execute_batch` stops early
+    // when `emit` returns false.
     let mut end = LeaseEnd::Continue;
-    let pool = Arc::clone(&memory.pool);
     let mut delivery: Result<(), FleetError> = Ok(());
     let mut emit = |record: JobRecord, verify_failed: Option<String>| -> Result<bool, FleetError> {
-        let job = record.job;
-        let line = record.to_json_line();
-        let verify_failed = verify_failed.unwrap_or_default();
-        memory.unacked.insert(
-            (fingerprint.to_string(), job),
-            (line.clone(), verify_failed.clone()),
-        );
-        match send_and_await(
-            reader,
-            writer,
-            memory,
-            ctx,
-            fingerprint,
-            job,
-            &line,
-            &verify_failed,
-        ) {
+        let msg = Msg::Result {
+            lease: ctx.lease,
+            campaign: ctx.campaign,
+            fingerprint: fingerprint.to_string(),
+            record: record.to_json_line(),
+            verify_failed: verify_failed.unwrap_or_default(),
+        };
+        match send_and_await(reader, writer, ctx, record.job, &msg) {
             Ok(AckWait::Acked) => Ok(true),
             Ok(AckWait::Abandon) => Ok(false),
             Ok(AckWait::Shutdown) => {
@@ -473,36 +354,25 @@ fn run_lease_inner(
             }
         }
     };
-    execute_batch(spec, &fresh, &pool, ctx.retries, ctx.verify, &mut emit)?;
+    execute_batch(spec, jobs, pool, ctx.retries, ctx.verify, &mut emit)?;
     delivery?;
     Ok(end)
 }
 
-/// Sends one result line and blocks until the dispatcher's verdict.
-/// Under `worker.result.torn`, half the line is written and the
+/// Sends job `job`'s result message and blocks until the dispatcher's
+/// verdict.  Under `worker.result.torn`, half the line is written and the
 /// connection killed instead.
-#[allow(clippy::too_many_arguments)]
 fn send_and_await(
     reader: &mut BufReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
-    memory: &mut WorkerMemory,
     ctx: &LeaseCtx,
-    fingerprint: &str,
     job: usize,
-    line: &str,
-    verify_failed: &str,
+    msg: &Msg,
 ) -> Result<AckWait, FleetError> {
-    let msg = Msg::Result {
-        lease: ctx.lease,
-        campaign: ctx.campaign,
-        fingerprint: fingerprint.to_string(),
-        record: line.to_string(),
-        verify_failed: verify_failed.to_string(),
-    };
     if psbi_fault::failpoint!("worker.result.torn", "job" = job) {
         // Tear the message mid-line and die: the dispatcher must reject
-        // the fragment and re-dispatch; our cached copy is re-sent
-        // intact after reconnect.
+        // the fragment and re-dispatch; the job is recomputed when it is
+        // leased again.
         let wire = format!("{}\n", msg.to_line());
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = w.write_all(&wire.as_bytes()[..wire.len() / 2]);
@@ -510,14 +380,13 @@ fn send_and_await(
         let _ = w.shutdown(Shutdown::Both);
         return Ok(AckWait::ConnLost);
     }
-    if send(writer, &msg).is_err() {
+    if send(writer, msg).is_err() {
         return Ok(AckWait::ConnLost);
     }
     loop {
         match read_msg(reader) {
             Ok(Some(Msg::Ack { campaign, job: j })) if campaign == ctx.campaign && j == job => {
-                memory.unacked.remove(&(fingerprint.to_string(), job));
-                return Ok(AckWait::Acked);
+                return Ok(AckWait::Acked)
             }
             Ok(Some(Msg::Ack { .. })) => {} // stale ack from an earlier lease
             Ok(Some(Msg::Expired { lease })) if lease == ctx.lease => return Ok(AckWait::Abandon),
@@ -689,51 +558,6 @@ pub fn submit_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fresh_memory() -> WorkerMemory {
-        WorkerMemory {
-            pool: Arc::new(WorkspacePool::new()),
-            specs: HashMap::new(),
-            unacked: HashMap::new(),
-            clock: 0,
-        }
-    }
-
-    fn named_spec_text(name: &str) -> String {
-        let mut spec = CampaignSpec::example();
-        spec.name = name.into();
-        spec.to_json()
-    }
-
-    #[test]
-    fn spec_cache_is_lru_bounded_and_eviction_purges_unacked() {
-        let mut memory = fresh_memory();
-        let first = named_spec_text("lru_first");
-        let (_, _, first_fp) = remember_spec(&mut memory, &first).unwrap();
-        memory
-            .unacked
-            .insert((first_fp.clone(), 0), ("line".into(), String::new()));
-        for i in 1..MAX_CACHED_SPECS {
-            remember_spec(&mut memory, &named_spec_text(&format!("lru_{i}"))).unwrap();
-        }
-        assert_eq!(memory.specs.len(), MAX_CACHED_SPECS);
-
-        // A re-lease bumps the first spec's stamp, so the next insert
-        // evicts `lru_1` (now the oldest), not the first spec.
-        remember_spec(&mut memory, &first).unwrap();
-        remember_spec(&mut memory, &named_spec_text("lru_overflow")).unwrap();
-        assert_eq!(memory.specs.len(), MAX_CACHED_SPECS);
-        assert!(memory.specs.contains_key(&first));
-        assert!(!memory.specs.contains_key(&named_spec_text("lru_1")));
-        assert!(memory.unacked.contains_key(&(first_fp.clone(), 0)));
-
-        // Push the first spec out: its unacked records go with it.
-        for i in 0..MAX_CACHED_SPECS {
-            remember_spec(&mut memory, &named_spec_text(&format!("flood_{i}"))).unwrap();
-        }
-        assert!(!memory.specs.contains_key(&first));
-        assert!(memory.unacked.is_empty());
-    }
 
     #[test]
     fn error_codes_round_trip_through_the_wire_mapping() {

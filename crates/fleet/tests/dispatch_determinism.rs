@@ -440,7 +440,7 @@ fn lease_expire_early_failpoint_redispatches_byte_identically() {
 }
 
 #[test]
-fn torn_result_failpoint_is_rejected_and_resent() {
+fn torn_result_failpoint_is_rejected_and_recomputed() {
     let spec = quick_spec();
     let (ref_bytes, ref_report) = psbi_fault::with_spec("", || reference(&spec, "torn"));
     psbi_fault::with_spec("worker.result.torn@nth=1,times=1", || {
@@ -448,7 +448,7 @@ fn torn_result_failpoint_is_rejected_and_resent() {
         distributed_run(&spec, &journal, 2, serve_opts(true));
         assert_matches_reference(&spec, &journal, &ref_bytes, &ref_report, "result.torn");
         // The torn write killed that worker's connection: lease expired,
-        // worker reconnected and re-sent the cached record intact.
+        // and the job was recomputed when it was leased again.
         assert!(
             expire_events(&journal) >= 1,
             "torn-result leg never expired a lease"
@@ -487,9 +487,9 @@ fn dispatcher_errors_map_back_to_local_exit_codes() {
     });
 }
 
-/// The stale-cache scenario: a worker that survived a dispatcher
-/// restart re-sends a record computed for a *different* campaign whose
-/// id collided with the new one.  The dispatcher must refuse it twice
+/// Foreign input: a client sends a record computed for a *different*
+/// campaign whose id collides with the new one (ids restart with the
+/// dispatcher).  The dispatcher must refuse it twice
 /// over — by spec fingerprint, and by grid identity when the
 /// fingerprint is forged — and the campaign must still finish
 /// byte-identical to the single-process reference.

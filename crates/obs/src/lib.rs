@@ -6,12 +6,16 @@
 //! pattern):
 //!
 //! * [`trace`] — span-based tracing.  RAII [`Span`] guards bracket named
-//!   regions of work; armed via `PSBI_TRACE=<path>` (or programmatically,
-//!   e.g. `psbi-fleet run --trace`), the buffered events flush as a
-//!   Chrome trace-event JSON array loadable in Perfetto.
+//!   regions of work; armed via `PSBI_TRACE=<path>` (or programmatically
+//!   with [`trace::arm`]), the buffered events flush as a Chrome
+//!   trace-event JSON array loadable in Perfetto.
 //! * [`metrics`] — a process-wide registry of named counters, gauges and
 //!   log-bucketed histograms.  Armed via `PSBI_METRICS=<path>` (or
 //!   programmatically); snapshots export as JSON and Prometheus text.
+//!
+//! Nothing is written until a flush: a process holds a [`FlushOnDrop`]
+//! guard (or calls [`flush_all`]) around its run, so both files land when
+//! the run ends on any path.
 //!
 //! Span and metric names follow a `layer.noun[.verb]` scheme
 //! (`sample.batch.fill`, `flow.pass.a1`, `solve.stage.search`,
@@ -76,6 +80,17 @@ pub fn flush_all() {
     }
 }
 
+/// Calls [`flush_all`] when dropped: hold one for the length of a run
+/// (a campaign, a worker or dispatcher process) so its trace and metrics
+/// files are written whichever way the run returns.
+pub struct FlushOnDrop;
+
+impl Drop for FlushOnDrop {
+    fn drop(&mut self) {
+        flush_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +107,8 @@ mod tests {
             let _span = Span::enter("obs.flush_all");
             metrics::counter_add("obs.flush_all", 1);
         }
-        flush_all();
+        // The guard is the RAII form of `flush_all`.
+        drop(FlushOnDrop);
         trace::disarm();
         metrics::disarm();
         let trace = std::fs::read_to_string(&trace_path).expect("trace written");

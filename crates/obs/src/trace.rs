@@ -15,10 +15,10 @@
 //!
 //! * `PSBI_TRACE=<path>` in the environment (read once, on the first
 //!   span evaluation) — the flush destination is `<path>`;
-//! * programmatically via [`arm`] (the fleet runner does this for
-//!   `FleetOptions::trace` / `psbi-fleet run --trace`).
+//! * programmatically via [`arm`] (tests and library callers).
 //!
-//! Buffered events are written by [`flush`] as a Chrome trace-event JSON
+//! Buffered events are written by [`flush`] (usually through
+//! [`crate::FlushOnDrop`] or [`crate::flush_all`]) as a Chrome trace-event JSON
 //! array — load the file in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`.  Flushing **streams**: each call drains the
 //! buffers and appends only the new events, rewriting just the closing

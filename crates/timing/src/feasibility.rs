@@ -406,29 +406,6 @@ impl DiffSolver {
         feasible
     }
 
-    /// The cached warm witness of the last feasible bounded solve, if one
-    /// is held.  Callers that carry per-chip solver state across passes
-    /// export the witness here after a feasible
-    /// [`DiffSolver::feasible_bounded_warm`] call and re-import it with
-    /// [`DiffSolver::import_witness`] before the next call on the *same*
-    /// chip — raising the validation hit rate without ever weakening the
-    /// check (an imported witness is still fully validated against the new
-    /// system before it is trusted).
-    pub fn export_witness(&self) -> Option<&[i64]> {
-        self.warm_valid.then_some(&self.warm[..])
-    }
-
-    /// Seeds the warm-witness cache with an externally carried assignment
-    /// (see [`DiffSolver::export_witness`]).  Purely a hint: the next
-    /// warm-start call validates it in full and falls back to the cold
-    /// solve when it no longer fits, so importing can never change any
-    /// feasibility verdict.
-    pub fn import_witness(&mut self, witness: &[i64]) {
-        self.warm.clear();
-        self.warm.extend_from_slice(witness);
-        self.warm_valid = true;
-    }
-
     /// Warm-start feasibility: validates the cached witness of the last
     /// feasible call in `O(arcs + bounds)` and only falls back to the cold
     /// SPFA when the check fails.  The cache starts as the all-zero
@@ -701,26 +678,6 @@ mod tests {
         assert!(!s.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &[(-1, 1), (-1, 1)]));
         // And the cached witness from the feasible solve is revalidated.
         assert!(s.feasible_bounded_warm(2, &[Arc::new(0, 1, -1)], &[(-1, 1), (-1, 1)]));
-    }
-
-    #[test]
-    fn witness_export_import_round_trips_and_stays_verified() {
-        let mut a = DiffSolver::new();
-        let bounds = [(-5i64, 5), (-5, 5)];
-        assert!(a.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
-        let witness: Vec<i64> = a.export_witness().expect("witness cached").to_vec();
-        assert!(witness[1] - witness[0] <= -3);
-        // A fresh solver seeded with the exported witness must decide the
-        // same system without weakening: matching system accepts, a
-        // contradicting one still rejects through the cold path.
-        let mut b = DiffSolver::new();
-        b.import_witness(&witness);
-        assert!(b.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
-        assert!(!b.feasible_bounded_warm(2, &[Arc::new(0, 1, -3), Arc::new(1, 0, 2)], &bounds));
-        // A garbage import is validated away, not trusted.
-        let mut c = DiffSolver::new();
-        c.import_witness(&[9999, -9999]);
-        assert!(c.feasible_bounded_warm(2, &[Arc::new(0, 1, -3)], &bounds));
     }
 
     #[test]

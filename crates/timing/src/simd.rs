@@ -11,8 +11,9 @@
 //!   (`OnceLock`), so every flow, pass and fleet job in a process uses the
 //!   same kernels — a prerequisite for the byte-determinism contracts;
 //! * `PSBI_SIMD_BACKEND=scalar|portable|avx2|neon` pins a specific
-//!   backend (ignored when unavailable on the host); `scalar` is the
-//!   fused scalar reference path.
+//!   backend (a misspelt or unavailable name falls back to the widest
+//!   backend with one warning line on stderr); `scalar` is the fused
+//!   scalar reference path.
 //!
 //! # Bit parity
 //!
@@ -151,22 +152,43 @@ impl Backend {
 
 /// The process-wide backend, selected once on first use.
 ///
-/// `PSBI_SIMD_BACKEND` names a backend (ignored when unavailable);
-/// otherwise the widest hardware backend (AVX2 → NEON → portable).
+/// `PSBI_SIMD_BACKEND` names a backend; otherwise the widest hardware
+/// backend (AVX2 → NEON → portable).  A value naming no backend, or one
+/// the host cannot run, falls back to the widest backend with one
+/// warning line on stderr.
 pub fn active() -> Backend {
     static ACTIVE: OnceLock<Backend> = OnceLock::new();
     *ACTIVE.get_or_init(select)
 }
 
 fn select() -> Backend {
-    if let Ok(name) = std::env::var("PSBI_SIMD_BACKEND") {
-        if let Some(b) = Backend::from_name(name.trim()) {
-            if b.is_available() {
-                return b;
-            }
-        }
+    let requested = std::env::var("PSBI_SIMD_BACKEND").ok();
+    let (backend, warning) = resolve(requested.as_deref());
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
     }
-    best_wide()
+    backend
+}
+
+/// The backend a `PSBI_SIMD_BACKEND` value selects, plus the warning to
+/// print when the value is set but names no backend the host can run.
+/// Unset or empty means the widest backend, silently.
+fn resolve(requested: Option<&str>) -> (Backend, Option<String>) {
+    let name = requested.map_or("", str::trim);
+    if name.is_empty() {
+        return (best_wide(), None);
+    }
+    let why = match Backend::from_name(name) {
+        Some(b) if b.is_available() => return (b, None),
+        Some(_) => "is not available on this host",
+        None => "names no backend",
+    };
+    let wide = best_wide();
+    let warning = format!(
+        "psbi_timing: PSBI_SIMD_BACKEND=`{name}` {why}; using `{}`",
+        wide.name()
+    );
+    (wide, Some(warning))
 }
 
 fn best_wide() -> Backend {
@@ -988,6 +1010,30 @@ mod tests {
         assert!(av.contains(&Backend::Portable));
         for b in av {
             assert!(b.is_available());
+        }
+    }
+
+    #[test]
+    fn unknown_or_unavailable_backend_names_warn_and_fall_back() {
+        let wide = best_wide();
+        assert_eq!(resolve(None), (wide, None));
+        assert_eq!(resolve(Some(" ")), (wide, None));
+        assert_eq!(resolve(Some("Scalar")), (Backend::Scalar, None));
+        let (b, warning) = resolve(Some("sclar"));
+        assert_eq!(b, wide);
+        let warning = warning.expect("a typo must warn");
+        assert!(
+            warning.contains("`sclar` names no backend")
+                && warning.contains(&format!("using `{}`", wide.name())),
+            "{warning}"
+        );
+        let missing = [Backend::Avx2, Backend::Neon]
+            .into_iter()
+            .find(|b| !b.is_available());
+        if let Some(missing) = missing {
+            let (b, warning) = resolve(Some(missing.name()));
+            assert_eq!(b, wide);
+            assert!(warning.expect("must warn").contains("is not available"));
         }
     }
 

@@ -1,10 +1,15 @@
 //! Determinism regression: the flow result — insertion ranges, deployment
 //! and yields — is bit-identical with `RAYON_NUM_THREADS=1` and with the
-//! default worker count.
+//! default worker count, at 1 and 8 workers, and whether a flow is swept
+//! over several targets (warm calibration and pooled workspaces carried
+//! across `run_target` calls) or built fresh per target.
 //!
 //! This pins the batched engine's contract: fixed chunk boundaries,
 //! per-chip seeded RNGs and chunk-ordered merges make the outcome
 //! independent of how the work-stealing scheduler interleaves chunks.
+//! CI reruns this suite under `PSBI_NO_SEARCH_PRUNE=1`, `PSBI_VERIFY=1`
+//! and `PSBI_SIMD_BACKEND=scalar` (each read once per process), so every
+//! reference mode is held to the same contract.
 
 use psbi::core::flow::{BufferInsertionFlow, FlowConfig, InsertionResult, TargetPeriod};
 use psbi::netlist::bench_suite;
@@ -70,4 +75,49 @@ fn flow_is_bit_identical_across_thread_counts() {
         env_single, pool_single,
         "env-capped and pool-capped single-thread runs disagree"
     );
+}
+
+#[test]
+fn full_flow_is_bit_identical_across_workers_and_warm_sweeps() {
+    let circuit = bench_suite::tiny_demo(42);
+    let cfg = |threads: usize| FlowConfig {
+        samples: 160,
+        yield_samples: 300,
+        calibration_samples: 300,
+        seed: 2024,
+        threads,
+        target: TargetPeriod::SigmaFactor(0.0),
+        record_histograms: 2,
+        ..FlowConfig::default()
+    };
+    // Flows swept over adjacent targets versus a fresh single-target
+    // flow per target, at both worker counts.
+    let variants = [("w1", cfg(1)), ("w8", cfg(8))];
+    let flows: Vec<(&str, BufferInsertionFlow)> = variants
+        .iter()
+        .map(|(name, c)| {
+            (
+                *name,
+                BufferInsertionFlow::builder(&circuit, c.clone())
+                    .build()
+                    .unwrap(),
+            )
+        })
+        .collect();
+    for k in [0.0, 0.5, 1.0] {
+        let target = TargetPeriod::SigmaFactor(k);
+        let reference = normalized(
+            BufferInsertionFlow::builder(&circuit, FlowConfig { target, ..cfg(1) })
+                .build()
+                .unwrap()
+                .run(),
+        );
+        for (name, flow) in &flows {
+            assert_eq!(
+                normalized(flow.run_target(target)),
+                reference,
+                "{name} diverged from the fresh flow at k = {k}"
+            );
+        }
+    }
 }

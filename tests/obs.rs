@@ -47,18 +47,21 @@ impl Drop for DisarmOnDrop {
     }
 }
 
-/// Runs the quick campaign and returns its canonical byte surface:
+/// Runs the quick campaign — traced to `trace` when given, armed through
+/// `obs::trace::arm` — and returns its canonical byte surface:
 /// `(journal bytes, canonical report JSON)`.
 fn campaign_bytes(tag: &str, workers: usize, trace: Option<PathBuf>) -> (Vec<u8>, String) {
     let spec = quick_spec();
     let journal = tmp(tag);
     let _ = std::fs::remove_file(&journal);
+    if let Some(path) = trace {
+        obs::trace::arm(path);
+    }
     let outcome = run_campaign(
         &spec,
         &journal,
         &FleetOptions {
             workers,
-            trace,
             ..FleetOptions::default()
         },
     )
